@@ -1,9 +1,10 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the ILP substrate: simplex
- * pivot throughput on LPs of growing size, branch-and-bound on
- * knapsacks, and the end-to-end floorplanning ILP for a coarse
- * partitioning instance.
+ * pivot throughput (pivots and pivots_per_s counters) on dense random
+ * LPs of growing size and on sparse floorplan-shaped assignment LPs,
+ * branch-and-bound on knapsacks, and the end-to-end floorplanning ILP
+ * for a coarse partitioning instance.
  */
 
 #include <chrono>
@@ -132,19 +133,81 @@ randomLp(int vars, int rows, std::uint64_t seed)
     return m;
 }
 
+/**
+ * Task -> device assignment LP of the floorplanner's shape: one
+ * equality per task (each task on exactly one device) and one area
+ * capacity row per device. Rows are sparse: a task row touches only
+ * its own devices' columns.
+ */
+Model
+assignmentLp(int tasks, int devices, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Model m;
+    std::vector<double> area(tasks);
+    double total = 0.0;
+    for (int t = 0; t < tasks; ++t) {
+        area[t] = rng.uniformReal(1.0, 10.0);
+        total += area[t];
+        for (int d = 0; d < devices; ++d)
+            m.addVar(VarKind::Continuous, 0.0, 1.0);
+    }
+    for (int t = 0; t < tasks; ++t) {
+        LinExpr one;
+        for (int d = 0; d < devices; ++d)
+            one.add(t * devices + d, 1.0);
+        m.addConstraint(std::move(one), Sense::Equal, 1.0);
+    }
+    for (int d = 0; d < devices; ++d) {
+        LinExpr cap;
+        for (int t = 0; t < tasks; ++t)
+            cap.add(t * devices + d, area[t]);
+        m.addConstraint(std::move(cap), Sense::LessEqual,
+                        1.3 * total / devices);
+    }
+    LinExpr obj;
+    for (int v = 0; v < tasks * devices; ++v)
+        obj.add(v, rng.uniformReal(-5.0, 5.0));
+    m.setObjective(std::move(obj));
+    return m;
+}
+
+/** Solve @p m repeatedly; report pivots per solve and pivot rate. */
+void
+runLp(benchmark::State &state, const Model &m)
+{
+    LpWorkspace ws;
+    std::int64_t pivots = 0;
+    int per_solve = 0;
+    for (auto _ : state) {
+        LpResult r = solveLp(m, {}, {}, SimplexOptions{}, &ws);
+        benchmark::DoNotOptimize(r.objective);
+        per_solve = r.iterations;
+        pivots += r.iterations;
+    }
+    state.counters["pivots"] = per_solve;
+    state.counters["pivots_per_s"] = benchmark::Counter(
+        static_cast<double>(pivots), benchmark::Counter::kIsRate);
+}
+
 void
 BM_SimplexSolve(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    Model m = randomLp(n, n, 42);
-    for (auto _ : state) {
-        LpResult r = solveLp(m);
-        benchmark::DoNotOptimize(r.objective);
-    }
+    runLp(state, randomLp(n, n, 42));
     state.SetComplexityN(n);
 }
 BENCHMARK(BM_SimplexSolve)->Arg(16)->Arg(64)->Arg(128)->Arg(256)
     ->Complexity();
+
+void
+BM_SimplexSolveAssignment(benchmark::State &state)
+{
+    runLp(state, assignmentLp(static_cast<int>(state.range(0)),
+                              static_cast<int>(state.range(1)), 42));
+}
+BENCHMARK(BM_SimplexSolveAssignment)
+    ->Args({36, 4})->Args({72, 4})->Args({72, 8});
 
 void
 BM_BranchBoundKnapsack(benchmark::State &state)

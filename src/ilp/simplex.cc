@@ -26,7 +26,7 @@ struct Tableau
 {
     explicit Tableau(LpWorkspace &ws)
         : a(ws.matrix), rhs(ws.rhs), cost(ws.cost), basis(ws.basis),
-          locked(ws.locked)
+          locked(ws.locked), pivotCols(ws.pivotCols)
     {
     }
 
@@ -38,6 +38,7 @@ struct Tableau
     double costShift = 0.0;      // constant part of objective
     std::vector<int> &basis;     // basis[r] = basic column of row r
     std::vector<unsigned char> &locked; // excluded from entering
+    std::vector<int> &pivotCols; // nonzero columns of the pivot row
 
     double &at(int r, int c) { return a[static_cast<size_t>(r) * cols + c]; }
     double at(int r, int c) const
@@ -45,35 +46,64 @@ struct Tableau
         return a[static_cast<size_t>(r) * cols + c];
     }
 
+    /**
+     * Pivot on (pr, pc), updating only the columns where the scaled
+     * pivot row is nonzero. At any other column a dense update would
+     * subtract f * 0, which leaves the cell's value unchanged (at most
+     * the sign of a zero differs, and every test reads values through
+     * != 0, > tol, < -tol or abs()). Each updated cell, RHS and
+     * costShift sees the same operations in the same order as a dense
+     * update, so every LP takes the same pivots to the same bits.
+     */
     void
     pivot(int pr, int pc)
     {
         const double pivval = at(pr, pc);
         tapacs_assert(std::abs(pivval) > 1e-12);
         const double inv = 1.0 / pivval;
-        for (int c = 0; c < cols; ++c)
-            at(pr, c) *= inv;
+        double *prow = &at(pr, 0);
+        int nnz = 0;
+        for (int c = 0; c < cols; ++c) {
+            prow[c] *= inv;
+            pivotCols[nnz] = c;
+            nnz += prow[c] != 0.0;
+        }
         rhs[pr] *= inv;
-        at(pr, pc) = 1.0;
+        prow[pc] = 1.0;
         for (int r = 0; r < rows; ++r) {
             if (r == pr)
                 continue;
-            const double f = at(r, pc);
+            double *row = &at(r, 0);
+            const double f = row[pc];
             if (f == 0.0)
                 continue;
-            for (int c = 0; c < cols; ++c)
-                at(r, c) -= f * at(pr, c);
+            for (int k = 0; k < nnz; ++k)
+                row[pivotCols[k]] -= f * prow[pivotCols[k]];
             rhs[r] -= f * rhs[pr];
-            at(r, pc) = 0.0;
+            row[pc] = 0.0;
         }
         const double f = cost[pc];
         if (f != 0.0) {
-            for (int c = 0; c < cols; ++c)
-                cost[c] -= f * at(pr, c);
+            for (int k = 0; k < nnz; ++k)
+                cost[pivotCols[k]] -= f * prow[pivotCols[k]];
             costShift -= f * rhs[pr];
             cost[pc] = 0.0;
         }
         basis[pr] = pc;
+    }
+
+    /** Price out the basic column of row @p r from the cost row. */
+    void
+    reduceCost(int r)
+    {
+        const int bc = basis[r];
+        const double f = cost[bc];
+        if (f == 0.0)
+            return;
+        for (int c = 0; c < cols; ++c)
+            cost[c] -= f * at(r, c);
+        costShift -= f * rhs[r];
+        cost[bc] = 0.0;
     }
 };
 
@@ -176,78 +206,69 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
         }
     }
 
-    // Count rows: one per model constraint plus one per finite upper
-    // bound (variables are shifted so x' = x - lo >= 0).
-    struct Row
-    {
-        std::vector<LinTerm> terms;
-        Sense sense;
-        double rhs;
-    };
-    std::vector<Row> rowdefs;
-    rowdefs.reserve(model.numConstraints() + n);
-    for (const auto &c : model.constraints()) {
-        Row row;
-        row.sense = c.sense;
-        row.rhs = c.rhs - c.expr.constant();
-        for (const auto &t : c.expr.terms()) {
-            row.terms.push_back(t);
-            row.rhs -= t.coeff * lo[t.var];
+    // Rows: one per model constraint plus one per finite upper bound
+    // (variables are shifted so x' = x - lo >= 0). A row whose shifted
+    // RHS is negative is negated, so every RHS starts >= 0.
+    int n_slack = 0, n_art = 0;
+    ws.rhs.clear();
+    ws.rowForms.clear();
+    auto add_row = [&](Sense sense, double rhs) {
+        const bool negated = rhs < 0.0;
+        if (negated) {
+            rhs = -rhs;
+            if (sense == Sense::LessEqual)
+                sense = Sense::GreaterEqual;
+            else if (sense == Sense::GreaterEqual)
+                sense = Sense::LessEqual;
         }
-        rowdefs.push_back(std::move(row));
+        ws.rhs.push_back(rhs);
+        ws.rowForms.push_back({sense, negated});
+        n_slack += sense != Sense::Equal;
+        n_art += sense != Sense::LessEqual;
+    };
+    auto has_upper_row = [&](VarId v) {
+        return std::isfinite(hi[v]) && hi[v] - lo[v] < kInf;
+    };
+    for (const auto &c : model.constraints()) {
+        double rhs = c.rhs - c.expr.constant();
+        for (const auto &t : c.expr.terms())
+            rhs -= t.coeff * lo[t.var];
+        add_row(c.sense, rhs);
     }
     for (VarId v = 0; v < n; ++v) {
-        if (std::isfinite(hi[v]) && hi[v] - lo[v] < kInf) {
-            Row row;
-            row.sense = Sense::LessEqual;
-            row.rhs = hi[v] - lo[v];
-            row.terms.push_back({v, 1.0});
-            rowdefs.push_back(std::move(row));
-        }
-    }
-
-    const int m = static_cast<int>(rowdefs.size());
-
-    // Normalize RHS signs.
-    for (auto &row : rowdefs) {
-        if (row.rhs < 0.0) {
-            row.rhs = -row.rhs;
-            for (auto &t : row.terms)
-                t.coeff = -t.coeff;
-            if (row.sense == Sense::LessEqual)
-                row.sense = Sense::GreaterEqual;
-            else if (row.sense == Sense::GreaterEqual)
-                row.sense = Sense::LessEqual;
-        }
+        if (has_upper_row(v))
+            add_row(Sense::LessEqual, hi[v] - lo[v]);
     }
 
     // Column layout: [structural n][slack/surplus][artificials].
-    int n_slack = 0, n_art = 0;
-    for (const auto &row : rowdefs) {
-        if (row.sense != Sense::Equal)
-            ++n_slack;
-        if (row.sense != Sense::LessEqual)
-            ++n_art;
-    }
-
+    const int m = static_cast<int>(ws.rhs.size());
+    const int first_art = n + n_slack;
     Tableau t(ws);
     t.rows = m;
-    t.cols = n + n_slack + n_art;
+    t.cols = first_art + n_art;
     t.a.assign(static_cast<size_t>(t.rows) * t.cols, 0.0);
-    t.rhs.assign(m, 0.0);
     t.cost.assign(t.cols, 0.0);
     t.basis.assign(m, -1);
     t.locked.assign(t.cols, 0);
+    t.pivotCols.resize(t.cols);
 
+    const int n_cons = model.numConstraints();
+    for (int r = 0; r < n_cons; ++r) {
+        const bool negated = ws.rowForms[r].negated;
+        for (const auto &term : model.constraints()[r].expr.terms())
+            t.at(r, term.var) += negated ? -term.coeff : term.coeff;
+    }
+    int bound_row = n_cons;
+    for (VarId v = 0; v < n; ++v) {
+        if (has_upper_row(v)) {
+            t.at(bound_row, v) = ws.rowForms[bound_row].negated ? -1.0 : 1.0;
+            ++bound_row;
+        }
+    }
     int slack_cursor = n;
-    int art_cursor = n + n_slack;
-    std::vector<int> art_cols;
+    int art_cursor = first_art;
     for (int r = 0; r < m; ++r) {
-        const Row &row = rowdefs[r];
-        for (const auto &term : row.terms)
-            t.at(r, term.var) += term.coeff;
-        t.rhs[r] = row.rhs;
-        switch (row.sense) {
+        switch (ws.rowForms[r].sense) {
           case Sense::LessEqual:
             t.at(r, slack_cursor) = 1.0;
             t.basis[r] = slack_cursor++;
@@ -256,13 +277,11 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
             t.at(r, slack_cursor) = -1.0;
             ++slack_cursor;
             t.at(r, art_cursor) = 1.0;
-            t.basis[r] = art_cursor;
-            art_cols.push_back(art_cursor++);
+            t.basis[r] = art_cursor++;
             break;
           case Sense::Equal:
             t.at(r, art_cursor) = 1.0;
-            t.basis[r] = art_cursor;
-            art_cols.push_back(art_cursor++);
+            t.basis[r] = art_cursor++;
             break;
         }
     }
@@ -272,20 +291,12 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
                               : 200 * (t.rows + t.cols) + 2000;
 
     // Phase 1: minimize sum of artificials.
-    if (!art_cols.empty()) {
-        for (int c : art_cols)
+    if (n_art > 0) {
+        for (int c = first_art; c < t.cols; ++c)
             t.cost[c] = 1.0;
         // Reduce cost row against the initial (artificial) basis.
-        for (int r = 0; r < m; ++r) {
-            const int bc = t.basis[r];
-            if (t.cost[bc] != 0.0) {
-                const double f = t.cost[bc];
-                for (int c = 0; c < t.cols; ++c)
-                    t.cost[c] -= f * t.at(r, c);
-                t.costShift -= f * t.rhs[r];
-                t.cost[bc] = 0.0;
-            }
-        }
+        for (int r = 0; r < m; ++r)
+            t.reduceCost(r);
         SolveStatus st = iterate(t, options, max_iters, out.iterations);
         if (st == SolveStatus::LimitReached) {
             out.status = st;
@@ -298,11 +309,10 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
         }
         // Drive any remaining basic artificials out of the basis.
         for (int r = 0; r < m; ++r) {
-            const int bc = t.basis[r];
-            if (bc < n + n_slack)
+            if (t.basis[r] < first_art)
                 continue;
             int pc = -1;
-            for (int c = 0; c < n + n_slack; ++c) {
+            for (int c = 0; c < first_art; ++c) {
                 if (std::abs(t.at(r, c)) > 1e-9) {
                     pc = c;
                     break;
@@ -312,28 +322,17 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
                 t.pivot(r, pc);
             // else: redundant row; the basic artificial stays at zero.
         }
-        for (int c : art_cols)
+        for (int c = first_art; c < t.cols; ++c)
             t.locked[c] = true;
     }
 
     // Phase 2: original objective over shifted variables.
     std::fill(t.cost.begin(), t.cost.end(), 0.0);
     t.costShift = 0.0;
-    double obj_const = model.objective().constant();
-    for (const auto &term : model.objective().terms()) {
+    for (const auto &term : model.objective().terms())
         t.cost[term.var] += term.coeff;
-        obj_const += term.coeff * lo[term.var];
-    }
-    for (int r = 0; r < m; ++r) {
-        const int bc = t.basis[r];
-        if (t.cost[bc] != 0.0) {
-            const double f = t.cost[bc];
-            for (int c = 0; c < t.cols; ++c)
-                t.cost[c] -= f * t.at(r, c);
-            t.costShift -= f * t.rhs[r];
-            t.cost[bc] = 0.0;
-        }
-    }
+    for (int r = 0; r < m; ++r)
+        t.reduceCost(r);
     SolveStatus st = iterate(t, options, max_iters, out.iterations);
     if (st == SolveStatus::Unbounded || st == SolveStatus::LimitReached) {
         out.status = st;
@@ -350,7 +349,6 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
     for (VarId v = 0; v < n; ++v)
         out.values[v] += lo[v];
     out.objective = model.objective().evaluate(out.values);
-    (void)obj_const;
     return out;
 }
 

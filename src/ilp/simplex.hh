@@ -8,9 +8,11 @@
  * artificial columns), and runs dense tableau simplex with Dantzig
  * pricing and a Bland's-rule anti-cycling fallback.
  *
- * The floorplanning LPs in this project are small-to-medium dense
- * systems (hundreds to a few thousand columns after coarsening), for
- * which a dense tableau is simple, predictable and fast enough — see
+ * The floorplanning LPs in this project are small-to-medium systems
+ * (hundreds to a few thousand columns after coarsening), for which a
+ * dense tableau is simple and predictable. Their rows are sparse, so
+ * each pivot updates only the columns where the pivot row is nonzero;
+ * the result is bit-identical to a dense update. See
  * bench_micro_solver for measured pivot throughput.
  */
 
@@ -59,20 +61,30 @@ struct LpResult
  * shape; without reuse every call allocates a fresh dense tableau
  * (O(rows x cols) doubles), and that allocator traffic is what the
  * parallel solver amplifies first. Each solver worker owns one
- * workspace and threads it through all of its LP solves; the vectors
- * below keep their capacity across calls, so steady state performs no
- * heap allocation per node beyond the returned solution.
+ * workspace and threads it through all of its LP solves. solveLp
+ * builds the tableau straight into these vectors, which keep their
+ * capacity across calls, so steady state performs no heap allocation
+ * per node beyond the returned solution.
  *
  * A workspace must not be shared between concurrent solveLp calls.
  */
 struct LpWorkspace
 {
+    /** Standard form of one tableau row before it is filled in. */
+    struct RowForm
+    {
+        Sense sense;  ///< after normalizing the RHS to >= 0
+        bool negated; ///< the row was multiplied by -1 to get there
+    };
+
     std::vector<double> matrix; ///< dense tableau, row-major
     std::vector<double> rhs;
     std::vector<double> cost;
     std::vector<int> basis;
     std::vector<unsigned char> locked;
-    std::vector<double> lower; ///< effective per-variable bounds
+    std::vector<RowForm> rowForms;
+    std::vector<int> pivotCols; ///< nonzero columns of the pivot row
+    std::vector<double> lower;  ///< effective per-variable bounds
     std::vector<double> upper;
 };
 

@@ -5,12 +5,56 @@
  * against the exhaustive oracle.
  */
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "apps/cnn.hh"
+#include "common/crc64.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
+#include "compiler/compiler.hh"
 #include "ilp/model.hh"
 #include "ilp/simplex.hh"
 #include "ilp/solver.hh"
+#include "network/cluster.hh"
+
+// Heap allocations made by the current thread while counting is on;
+// checks that a warmed LpWorkspace keeps node LPs allocation-free.
+namespace
+{
+thread_local bool t_countAllocs = false;
+thread_local long t_allocs = 0;
+} // namespace
+
+// Out of line, so the compiler never sees a new/free pair it would
+// flag as mismatched.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    if (t_countAllocs)
+        ++t_allocs;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace tapacs::ilp
 {
@@ -178,14 +222,17 @@ class SimplexProperty : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(SimplexProperty, OptimumDominatesRandomFeasiblePoints)
+/** The SimplexProperty LP for @p param, drawn from @p rng (seeded
+ *  1000 + param); the property test keeps drawing sample points from
+ *  the same stream afterwards. */
+Model
+makeRandomLp(int param, Rng &rng)
 {
-    Rng rng(1000 + GetParam());
     Model m;
-    const int n = 3 + GetParam() % 4;
+    const int n = 3 + param % 4;
     for (int i = 0; i < n; ++i)
         m.addVar(VarKind::Continuous, 0.0, 10.0);
-    const int rows = 2 + GetParam() % 5;
+    const int rows = 2 + param % 5;
     for (int r = 0; r < rows; ++r) {
         LinExpr e;
         for (int i = 0; i < n; ++i)
@@ -197,6 +244,14 @@ TEST_P(SimplexProperty, OptimumDominatesRandomFeasiblePoints)
     for (int i = 0; i < n; ++i)
         obj.add(i, rng.uniformReal(-2.0, 1.0));
     m.setObjective(std::move(obj));
+    return m;
+}
+
+TEST_P(SimplexProperty, OptimumDominatesRandomFeasiblePoints)
+{
+    Rng rng(1000 + GetParam());
+    const Model m = makeRandomLp(GetParam(), rng);
+    const int n = m.numVars();
 
     LpResult r = solveLp(m);
     ASSERT_EQ(r.status, SolveStatus::Optimal) << "seed " << GetParam();
@@ -401,10 +456,11 @@ TEST(BranchBound, NodeLimitKeepsWarmIncumbent)
     EXPECT_LE(solver.stats().nodesExplored, 2);
 }
 
-TEST(Simplex, DegenerateLpTerminates)
+/** Many redundant constraints through the origin — classic
+ *  degeneracy. */
+Model
+makeDegenerateLp()
 {
-    // Many redundant constraints through the origin — classic
-    // degeneracy; Bland's rule must prevent cycling.
     Model m;
     const VarId x = m.addContinuous(0.0);
     const VarId y = m.addContinuous(0.0);
@@ -414,7 +470,13 @@ TEST(Simplex, DegenerateLpTerminates)
             Sense::LessEqual, 0.0);
     }
     m.setObjective(LinExpr().add(x, -1.0).add(y, -1.0));
-    LpResult r = solveLp(m);
+    return m;
+}
+
+TEST(Simplex, DegenerateLpTerminates)
+{
+    // Bland's rule must prevent cycling.
+    LpResult r = solveLp(makeDegenerateLp());
     ASSERT_EQ(r.status, SolveStatus::Optimal);
     EXPECT_NEAR(r.objective, 0.0, 1e-9); // stuck at the origin
 }
@@ -488,10 +550,11 @@ TEST(BranchBoundParallel, MatchesSerialObjectiveOnRandomMilps)
     }
 }
 
-TEST(BranchBoundParallel, FloorplanShapedAssignment)
+/** 6 tasks onto 3 devices, one device each, capacity 2.5 per
+ *  device, costs favoring a unique optimal assignment. */
+Model
+makeAssignmentModel()
 {
-    // 6 tasks onto 3 devices, one device each, capacity 2.5 per
-    // device, costs favoring a unique optimal assignment.
     constexpr int kTasks = 6, kDevs = 3;
     Model m;
     std::vector<VarId> x(kTasks * kDevs);
@@ -515,6 +578,12 @@ TEST(BranchBoundParallel, FloorplanShapedAssignment)
         for (int d = 0; d < kDevs; ++d)
             obj.add(x[t * kDevs + d], ((t * 7 + d * 3) % 11) - 5.0);
     m.setObjective(std::move(obj));
+    return m;
+}
+
+TEST(BranchBoundParallel, FloorplanShapedAssignment)
+{
+    const Model m = makeAssignmentModel();
 
     SolverOptions serial_opt;
     serial_opt.numThreads = 1;
@@ -619,6 +688,285 @@ TEST(Exhaustive, PureLpModelGetsClearStatus)
         ExhaustiveSolver oracle;
         EXPECT_EQ(oracle.solve(m).status, SolveStatus::Unbounded);
     }
+}
+
+// ---- Sparse pivot boundaries ------------------------------------------
+
+/**
+ * Dense LP with a known optimum: A x <= b with every A entry nonzero
+ * (diagonally dominant, so invertible), b = A x* and c = -A^T y for
+ * y > 0. Every constraint is active at x* with positive duals, so x*
+ * is the unique optimum with objective -y^T b. The constraint rows
+ * span every structural column, the case where the sparse update
+ * touches as many columns as the dense one did.
+ */
+TEST(Simplex, FullyDensePivotRowsReachKnownOptimum)
+{
+    constexpr int kN = 12;
+    auto a = [](int i, int j) {
+        return 1.0 + 0.25 * ((i * 3 + j * 5) % 4) + (i == j ? kN : 0);
+    };
+    Model m;
+    for (int j = 0; j < kN; ++j)
+        m.addVar(VarKind::Continuous, 0.0, 100.0);
+    double expected = 0.0;
+    for (int i = 0; i < kN; ++i) {
+        LinExpr e;
+        double b = 0.0;
+        for (int j = 0; j < kN; ++j) {
+            e.add(j, a(i, j));
+            b += a(i, j) * (j + 1.0);
+        }
+        m.addConstraint(std::move(e), Sense::LessEqual, b);
+        expected -= (i % 3 + 1.0) * b;
+    }
+    LinExpr obj;
+    for (int j = 0; j < kN; ++j) {
+        double c = 0.0;
+        for (int i = 0; i < kN; ++i)
+            c -= a(i, j) * (i % 3 + 1.0);
+        obj.add(j, c);
+    }
+    m.setObjective(std::move(obj));
+
+    LpResult r = solveLp(m);
+    ASSERT_EQ(r.status, SolveStatus::Optimal);
+    EXPECT_NEAR(r.objective, expected, 1e-6 * std::abs(expected));
+    for (int j = 0; j < kN; ++j)
+        EXPECT_NEAR(r.values[j], j + 1.0, 1e-7) << "x" << j;
+}
+
+/** Dense binary MILPs with mixed senses: every node LP pivots on
+ *  dense rows, and branch-and-bound must match the oracle. */
+TEST(BranchBound, DenseMixedSenseMilpsMatchOracle)
+{
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+        Rng rng(500 + seed);
+        Model m;
+        const int n = 8;
+        for (int i = 0; i < n; ++i)
+            m.addBinary();
+        const Sense senses[] = {Sense::LessEqual, Sense::GreaterEqual,
+                                Sense::LessEqual};
+        for (Sense sense : senses) {
+            LinExpr e;
+            for (int i = 0; i < n; ++i)
+                e.add(i, rng.uniformReal(0.5, 3.0));
+            const double rhs = sense == Sense::LessEqual
+                                   ? rng.uniformReal(6.0, 10.0)
+                                   : rng.uniformReal(1.0, 4.0);
+            m.addConstraint(std::move(e), sense, rhs);
+        }
+        LinExpr obj;
+        for (int i = 0; i < n; ++i)
+            obj.add(i, rng.uniformReal(-5.0, 2.0));
+        m.setObjective(std::move(obj));
+
+        Solution truth = ExhaustiveSolver().solve(m);
+        Solution s = BranchBoundSolver().solve(m);
+        ASSERT_EQ(truth.hasSolution(), s.hasSolution()) << "seed " << seed;
+        if (truth.hasSolution()) {
+            EXPECT_NEAR(s.objective, truth.objective, 1e-6)
+                << "seed " << seed;
+        }
+    }
+}
+
+/**
+ * A redundant equality (row 3 = row 1 + row 2) leaves an artificial
+ * basic at zero after phase 1: its row has no nonzero structural or
+ * slack entry to pivot on. Phase 2 must pivot around that row.
+ * min x - y + z  s.t. x + y = 2, y + z = 3, x + 2y + z = 5, x,y,z >= 0:
+ * y = 2 gives x = 0, z = 1, objective -1.
+ */
+TEST(Simplex, RedundantEqualityKeepsBasicArtificial)
+{
+    Model m;
+    const VarId x = m.addContinuous(0.0);
+    const VarId y = m.addContinuous(0.0);
+    const VarId z = m.addContinuous(0.0);
+    m.addConstraint(LinExpr().add(x, 1.0).add(y, 1.0), Sense::Equal, 2.0);
+    m.addConstraint(LinExpr().add(y, 1.0).add(z, 1.0), Sense::Equal, 3.0);
+    m.addConstraint(LinExpr().add(x, 1.0).add(y, 2.0).add(z, 1.0),
+                    Sense::Equal, 5.0);
+    m.setObjective(LinExpr().add(x, 1.0).add(y, -1.0).add(z, 1.0));
+    LpResult r = solveLp(m);
+    ASSERT_EQ(r.status, SolveStatus::Optimal);
+    EXPECT_NEAR(r.objective, -1.0, 1e-9);
+    EXPECT_NEAR(r.values[x], 0.0, 1e-9);
+    EXPECT_NEAR(r.values[y], 2.0, 1e-9);
+    EXPECT_NEAR(r.values[z], 1.0, 1e-9);
+}
+
+/** The same redundancy inside branch-and-bound: binary assignment
+ *  rows plus their sum restated as one more equality. */
+TEST(BranchBound, RedundantEqualityMatchesOracle)
+{
+    Model m = makeAssignmentModel();
+    LinExpr all;
+    for (VarId v = 0; v < m.numVars(); ++v)
+        all.add(v, 1.0);
+    m.addConstraint(std::move(all), Sense::Equal, 6.0);
+    Solution truth = ExhaustiveSolver().solve(m);
+    Solution s = BranchBoundSolver().solve(m);
+    ASSERT_EQ(truth.status, SolveStatus::Optimal);
+    ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_NEAR(s.objective, truth.objective, 1e-9);
+}
+
+/** A branched child LP on a warmed workspace (same shape, other
+ *  bounds) allocates nothing but its returned solution vector. */
+TEST(Simplex, WarmWorkspaceNodeLpAllocatesOnlyTheSolution)
+{
+    const Model m = makeAssignmentModel();
+    std::vector<double> lo(m.numVars(), 0.0), hi(m.numVars(), 1.0);
+    const SimplexOptions opt;
+    LpWorkspace ws;
+    ASSERT_EQ(solveLp(m, lo, hi, opt, &ws).status, SolveStatus::Optimal);
+    hi[0] = 0.0;
+    lo[1] = 1.0;
+    t_allocs = 0;
+    t_countAllocs = true;
+    const LpResult r = solveLp(m, lo, hi, opt, &ws);
+    t_countAllocs = false;
+    ASSERT_EQ(r.status, SolveStatus::Optimal);
+    EXPECT_EQ(t_allocs, 1);
+}
+
+// ---- Pivot-path pins ---------------------------------------------------
+//
+// Values captured from the dense-update simplex that the sparse pivot
+// replaced. The sparse update must take the same pivots to the same
+// bits, so a change to pricing, the ratio test, Bland's rule or the
+// arithmetic order of any cell shows up here as a changed pivot count
+// or digest, not only as a drifted benchmark.
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+std::uint64_t
+valuesDigest(const std::vector<double> &values)
+{
+    return crc64(values.data(), values.size() * sizeof(double));
+}
+
+struct LpPin
+{
+    SolveStatus status;
+    int iterations;
+    std::uint64_t objectiveBits;
+    std::uint64_t valuesDigest;
+};
+
+void
+expectPinned(const LpResult &r, const LpPin &pin, const std::string &what)
+{
+    const std::string actual = strprintf(
+        "%s: {%s, %d, 0x%016llx, 0x%016llx}", what.c_str(),
+        toString(r.status), r.iterations,
+        static_cast<unsigned long long>(bitsOf(r.objective)),
+        static_cast<unsigned long long>(valuesDigest(r.values)));
+    EXPECT_EQ(r.status, pin.status) << actual;
+    EXPECT_EQ(r.iterations, pin.iterations) << actual;
+    EXPECT_EQ(bitsOf(r.objective), pin.objectiveBits) << actual;
+    EXPECT_EQ(valuesDigest(r.values), pin.valuesDigest) << actual;
+}
+
+TEST(PivotPath, RandomLpsPinned)
+{
+    const LpPin pins[20] = {
+        {SolveStatus::Optimal, 1, 0xc01918ad67977d1a, 0xdd600b682ef10146},
+        {SolveStatus::Optimal, 2, 0xc022508cb3b88338, 0xfecbb48c0a862d5b},
+        {SolveStatus::Optimal, 3, 0xc01bb9a5babddeb7, 0x51273021efd8e6ae},
+        {SolveStatus::Optimal, 5, 0xc03491538b9d868b, 0xd09a9852131b0d3b},
+        {SolveStatus::Optimal, 1, 0xc0247aedb89abc9d, 0x43f55e8a95dc2a09},
+        {SolveStatus::Optimal, 2, 0xc0320ec5eac942a9, 0x01fc6bb64ef70da4},
+        {SolveStatus::Optimal, 2, 0xc0363b8b52cea158, 0xddbcf6d3a0058a5e},
+        {SolveStatus::Optimal, 1, 0xc00666dfb4ab389f, 0xb1e2dd9011adba36},
+        {SolveStatus::Optimal, 1, 0xc030b03aa6a0c084, 0x5ed2fbf5a42bfc50},
+        {SolveStatus::Optimal, 2, 0xc032727d8486f300, 0xf0f83d7e5bba552d},
+        {SolveStatus::Optimal, 2, 0xc032b04ac87fdfc6, 0xce4ff63aa340ec5b},
+        {SolveStatus::Optimal, 2, 0xc038c3829220d7ff, 0x2eec71e3bc293c09},
+        {SolveStatus::Optimal, 1, 0xbfffcb280a207548, 0x23cb2e29665750f3},
+        {SolveStatus::Optimal, 2, 0xc016adc9bd7bec70, 0xd1fe31fb9a58040a},
+        {SolveStatus::Optimal, 2, 0xc01aac5565fbedfb, 0x40c87f79f7f1c7d3},
+        {SolveStatus::Optimal, 2, 0xc03f98096f54b2d7, 0x5d8c4ade6fe2bba2},
+        {SolveStatus::Optimal, 2, 0xc031ad7415e455ab, 0x758ff9d5b42fe8c1},
+        {SolveStatus::Optimal, 1, 0xc0316fc47c045531, 0x2695c46353ec57c8},
+        {SolveStatus::Optimal, 1, 0xc022971cf97092af, 0xcb33ef199ecf1d5c},
+        {SolveStatus::Optimal, 4, 0xc033b62f33048ee6, 0xd000094e41a63ea7},
+    };
+    for (int param = 0; param < 20; ++param) {
+        Rng rng(1000 + param);
+        expectPinned(solveLp(makeRandomLp(param, rng)), pins[param],
+                     strprintf("RandomLps/%d", param));
+    }
+}
+
+TEST(PivotPath, DegenerateAndAssignmentLpsPinned)
+{
+    expectPinned(solveLp(makeDegenerateLp()),
+                 {SolveStatus::Optimal, 1, 0x0000000000000000,
+                  0xe9a13f17fb6a2363},
+                 "degenerate");
+    expectPinned(solveLp(makeAssignmentModel()),
+                 {SolveStatus::Optimal, 17, 0xc032800000000000,
+                  0xd6e111435eb1ec7e},
+                 "assignment");
+}
+
+/**
+ * Both floorplan levels of a 2-FPGA CNN 13x4 compile, serial and
+ * under node budgets only (no wall-clock cap), so the B&B search is
+ * a pure function of the LP results.
+ */
+TEST(PivotPath, CnnTwoFpgaFloorplanPinned)
+{
+    apps::CnnConfig cnn;
+    cnn.rows = 13;
+    cnn.cols = 4;
+    cnn.numFpgas = 2;
+    apps::AppDesign design = apps::buildCnn(cnn);
+    CompileOptions opt;
+    opt.mode = CompileMode::TapaCs;
+    opt.numFpgas = 2;
+    opt.numThreads = 1;
+    opt.inter.solver.numThreads = 1;
+    opt.inter.solver.timeLimitSeconds = 0.0;
+    opt.intra.solver.numThreads = 1;
+    opt.intra.solver.timeLimitSeconds = 0.0;
+    const CompileResult r = compileProgram(design.graph, design.tasks,
+                                           makePaperTestbed(2), opt);
+    ASSERT_TRUE(r.routable) << r.failureReason;
+
+    const auto &dev = r.partition.deviceOf;
+    const std::uint64_t l1_digest =
+        crc64(dev.data(), dev.size() * sizeof(dev[0]));
+    std::uint64_t l2_digest = 0;
+    for (const SlotCoord &slot : r.placement.slotOf) {
+        const std::int64_t cr[2] = {slot.col, slot.row};
+        l2_digest = crc64(cr, sizeof cr, l2_digest);
+    }
+    const std::string actual = strprintf(
+        "L1 nodes %lld pivots %lld digest 0x%016llx; "
+        "L2 nodes %lld pivots %lld digest 0x%016llx",
+        static_cast<long long>(r.l1SolverStats.nodesExplored),
+        static_cast<long long>(r.l1SolverStats.lpIterations),
+        static_cast<unsigned long long>(l1_digest),
+        static_cast<long long>(r.l2SolverStats.nodesExplored),
+        static_cast<long long>(r.l2SolverStats.lpIterations),
+        static_cast<unsigned long long>(l2_digest));
+    EXPECT_EQ(r.l1SolverStats.nodesExplored, 143) << actual;
+    EXPECT_EQ(r.l1SolverStats.lpIterations, 14794) << actual;
+    EXPECT_EQ(l1_digest, 0x14e161ee5da136bbu) << actual;
+    EXPECT_EQ(r.l2SolverStats.nodesExplored, 775) << actual;
+    EXPECT_EQ(r.l2SolverStats.lpIterations, 111409) << actual;
+    EXPECT_EQ(l2_digest, 0xd341b9fdda3436c4u) << actual;
 }
 
 } // namespace
