@@ -121,13 +121,12 @@ interFamilyKey(const GraphFingerprint &fp, const Cluster &cluster,
 }
 
 CacheKey
-intraDeviceKey(const TaskGraph &g, const DevicePartition &partition,
-               DeviceId device, const DeviceModel &dev,
-               const IntraFpgaOptions &options,
-               const HbmBindingOptions &bindOptions)
+intraPlacementKey(const TaskGraph &g, const DevicePartition &partition,
+                  DeviceId device, const DeviceModel &dev,
+                  const IntraFpgaOptions &options)
 {
     KeyBuilder b;
-    b.i64(kSchemaVersion).str("intradev");
+    b.i64(kSchemaVersion).str("l2place");
     b.key(deviceModelKey(dev));
     // The ordered induced subgraph: device vertices in ascending
     // graph id (the exact order the bisection and the binder walk),
@@ -162,12 +161,32 @@ intraDeviceKey(const TaskGraph &g, const DevicePartition &partition,
         .f64(options.memAttractionWidth)
         .i64(static_cast<std::int64_t>(options.seed));
     mixSolver(b, options.solver);
-    // IntraFpgaOptions::numThreads and HbmBindingOptions::numThreads
-    // are deliberately absent: both passes document thread-count
-    // invariance, which is what lets a parallel batch compile share
-    // entries with a serial one.
-    b.i64(bindOptions.sweep ? 1 : 0);
+    // IntraFpgaOptions::numThreads is deliberately absent: the pass
+    // documents thread-count invariance, which is what lets a parallel
+    // batch compile share entries with a serial one.
     return b.build();
+}
+
+CacheKey
+hbmBindingKey(const CacheKey &placement, const HbmBindingOptions &options)
+{
+    // The placement key already covers everything else the binder
+    // reads (memory users, their channel demands, the device model);
+    // HbmBindingOptions::numThreads is absent for the same invariance.
+    KeyBuilder b;
+    b.i64(kSchemaVersion).str("l2bind").key(placement);
+    b.i64(options.sweep ? 1 : 0);
+    return b.build();
+}
+
+CacheKey
+intraDeviceKey(const TaskGraph &g, const DevicePartition &partition,
+               DeviceId device, const DeviceModel &dev,
+               const IntraFpgaOptions &options,
+               const HbmBindingOptions &bindOptions)
+{
+    return hbmBindingKey(
+        intraPlacementKey(g, partition, device, dev, options), bindOptions);
 }
 
 CompileCache &
@@ -347,10 +366,8 @@ CompileCache::getIntraDevice(const CacheKey &key, IntraDeviceEntry *out)
         return false;
     EntryReader r(*blob);
     IntraDeviceEntry parsed;
-    std::int64_t nv = 0, nu = 0, nc = 0;
-    if (!r.tag("intradev1") || !r.i64(&nv) || nv < 0 || !r.i64(&nu) ||
-        nu < 0 || nu > nv || !r.i64(&nc) || nc < 0 ||
-        !r.f64(&parsed.displacement) ||
+    std::int64_t nv = 0;
+    if (!r.tag("l2place1") || !r.i64(&nv) || nv < 0 ||
         !r.boolean(&parsed.allIlpOptimal) || !readStats(r, &parsed.stats))
         return false;
     parsed.slots.resize(nv);
@@ -361,6 +378,38 @@ CompileCache::getIntraDevice(const CacheKey &key, IntraDeviceEntry *out)
         parsed.slots[i].col = static_cast<int>(col);
         parsed.slots[i].row = static_cast<int>(row);
     }
+    *out = std::move(parsed);
+    return true;
+}
+
+void
+CompileCache::putIntraDevice(const CacheKey &key,
+                             const IntraDeviceEntry &entry)
+{
+    EntryWriter w;
+    w.tag("l2place1");
+    w.i64(static_cast<std::int64_t>(entry.slots.size()));
+    w.i64(entry.allIlpOptimal ? 1 : 0);
+    writeStats(w, entry.stats);
+    for (const SlotCoord &s : entry.slots) {
+        w.i64(s.col);
+        w.i64(s.row);
+    }
+    store_.put(key, w.take());
+}
+
+bool
+CompileCache::getHbmBinding(const CacheKey &key, HbmDeviceBinding *out)
+{
+    auto blob = store_.get(key);
+    if (!blob)
+        return false;
+    EntryReader r(*blob);
+    HbmDeviceBinding parsed;
+    std::int64_t nu = 0, nc = 0;
+    if (!r.tag("l2bind1") || !r.i64(&nu) || nu < 0 || !r.i64(&nc) ||
+        nc < 0 || !r.f64(&parsed.displacement))
+        return false;
     parsed.grants.resize(nu);
     for (std::int64_t i = 0; i < nu; ++i) {
         std::int64_t count = 0;
@@ -386,31 +435,20 @@ CompileCache::getIntraDevice(const CacheKey &key, IntraDeviceEntry *out)
 }
 
 void
-CompileCache::putIntraDevice(const CacheKey &key,
-                             const IntraDeviceEntry &entry)
+CompileCache::putHbmBinding(const CacheKey &key,
+                            const HbmDeviceBinding &binding)
 {
-    if (entry.grants.size() > entry.slots.size()) {
-        warn("cache: intra-device entry size mismatch; not storing");
-        return;
-    }
     EntryWriter w;
-    w.tag("intradev1");
-    w.i64(static_cast<std::int64_t>(entry.slots.size()));
-    w.i64(static_cast<std::int64_t>(entry.grants.size()));
-    w.i64(static_cast<std::int64_t>(entry.usersPerChannel.size()));
-    w.f64(entry.displacement);
-    w.i64(entry.allIlpOptimal ? 1 : 0);
-    writeStats(w, entry.stats);
-    for (const SlotCoord &s : entry.slots) {
-        w.i64(s.col);
-        w.i64(s.row);
-    }
-    for (const auto &channels : entry.grants) {
+    w.tag("l2bind1");
+    w.i64(static_cast<std::int64_t>(binding.grants.size()));
+    w.i64(static_cast<std::int64_t>(binding.usersPerChannel.size()));
+    w.f64(binding.displacement);
+    for (const auto &channels : binding.grants) {
         w.i64(static_cast<std::int64_t>(channels.size()));
         for (int c : channels)
             w.i64(c);
     }
-    for (int users : entry.usersPerChannel)
+    for (int users : binding.usersPerChannel)
         w.i64(users);
     store_.put(key, w.take());
 }

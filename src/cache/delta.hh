@@ -5,7 +5,8 @@
  * A compile that runs with caching enabled records, per solver-heavy
  * phase, the exact content key and entry bytes of every artifact it
  * produced or reused: one "hls" artifact per task, one "l1" artifact
- * for the inter-FPGA solve, one "l2dev" artifact per device. The
+ * for the inter-FPGA solve, and per device one "l2place" artifact (its
+ * level-2 placement) and one "l2bind" artifact (its HBM binding). The
  * bundle — a CompileSignature — is attached to the CompileResult and
  * can be saved to a file (`tapacs-compile --state`) or retained
  * in-process (`CompileService`).
@@ -32,7 +33,8 @@ namespace tapacs::cache
 /** Artifact tier names (Artifact::tier). */
 inline constexpr const char *kTierHls = "hls";
 inline constexpr const char *kTierL1 = "l1";
-inline constexpr const char *kTierL2Device = "l2dev";
+inline constexpr const char *kTierL2Place = "l2place";
+inline constexpr const char *kTierL2Bind = "l2bind";
 
 /** One reusable artifact: tier, exact content key, entry bytes. */
 struct Artifact

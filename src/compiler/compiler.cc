@@ -114,6 +114,23 @@ naiveBinding(const TaskGraph &g, const Cluster &cluster,
     return out;
 }
 
+/**
+ * One device's phase-5 artifacts: its level-2 placement and the HBM
+ * binding computed from it, each with its cache key and whether it
+ * was served from the cache.
+ */
+struct DeviceL2
+{
+    cache::CacheKey placeKey;
+    cache::CacheKey bindKey;
+    cache::IntraDeviceEntry place;
+    HbmDeviceBinding bind;
+    bool placeCached = false;
+    bool bindCached = false;
+    /** The placement solve was truncated (deadline or time limit). */
+    bool interrupted = false;
+};
+
 } // namespace
 
 const char *
@@ -266,7 +283,7 @@ compile(const TaskGraph &g, const Cluster &cluster,
     // Keys of the artifacts this run binds, for the reuse signature.
     cache::CacheKey l1_used_key;
     bool l1_key_recorded = false;
-    std::vector<cache::CacheKey> l2_used_keys;
+    std::vector<DeviceL2> l2_devices;
     const cache::CacheKey input_fp = fp.structural;
 
     // ---- Step 3: inter-FPGA floorplanning (eq. 1-3) -----------------
@@ -465,13 +482,16 @@ compile(const TaskGraph &g, const Cluster &cluster,
                 intra.ctx = options.ctx.withBudget(0.9 * remain);
             }
             // HBM channel binding is the memory half of step 5: the
-            // paper binds channels from the same placement the
-            // intra-FPGA ILP produced — so placement and binding are
-            // cached together, one artifact per DEVICE. Devices are
-            // independent at level 2 (cross-device edges are a level-1
-            // cost), so an edit that dirties one device's subgraph
-            // re-solves that device alone while every clean device
-            // rebinds from its cached entry.
+            // paper explores bindings on top of the placement the
+            // intra-FPGA ILP produced, and the bisection never reads
+            // the binding policy. So each DEVICE has two cache
+            // entries: its placement, and the binding computed from
+            // it (keyed by the placement key plus the policy). A
+            // request that changes only the policy rebinds from the
+            // cached placement instead of re-solving it. Devices are
+            // independent at level 2 (cross-device edges are a
+            // level-1 cost), so an edit that dirties one device's
+            // subgraph re-solves that device alone.
             HbmBindingOptions bind_opt;
             bind_opt.sweep = options.hbmBindingSweep;
             bind_opt.numThreads = options.numThreads;
@@ -492,59 +512,57 @@ compile(const TaskGraph &g, const Cluster &cluster,
                     users_of[d].push_back(v);
             }
 
-            std::vector<cache::IntraDeviceEntry> entries(num_devices);
-            std::vector<char> cached(num_devices, 0);
-            std::vector<char> interrupted_of(num_devices, 0);
-            std::vector<cache::CacheKey> dev_keys(num_devices);
+            l2_devices.resize(num_devices);
             if (cc != nullptr) {
                 for (DeviceId d = 0; d < num_devices; ++d) {
-                    dev_keys[d] = cache::intraDeviceKey(
-                        dg, out.partition, d, dev, intra, bind_opt);
-                    cache::IntraDeviceEntry e;
-                    if (cc->getIntraDevice(dev_keys[d], &e) &&
-                        e.slots.size() == verts_of[d].size() &&
-                        e.grants.size() == users_of[d].size() &&
-                        e.usersPerChannel.size() ==
-                            static_cast<std::size_t>(channels)) {
-                        entries[d] = std::move(e);
-                        cached[d] = 1;
-                    }
+                    DeviceL2 &l2 = l2_devices[d];
+                    l2.placeKey = cache::intraPlacementKey(
+                        dg, out.partition, d, dev, intra);
+                    l2.bindKey = cache::hbmBindingKey(l2.placeKey, bind_opt);
+                    l2.placeCached =
+                        cc->getIntraDevice(l2.placeKey, &l2.place) &&
+                        l2.place.slots.size() == verts_of[d].size();
+                    // A binding is only looked up over a cached
+                    // placement: a re-solved one is rebound anyway.
+                    l2.bindCached =
+                        l2.placeCached &&
+                        cc->getHbmBinding(l2.bindKey, &l2.bind) &&
+                        l2.bind.grants.size() == users_of[d].size() &&
+                        l2.bind.usersPerChannel.size() ==
+                            static_cast<std::size_t>(channels);
                 }
-                l2_used_keys = dev_keys;
             }
 
             // Scatter the cached placements first, then solve the
-            // missing devices; slots land directly in the shared
-            // vector — devices touch disjoint vertices, so the
-            // parallel writes never alias.
+            // missing devices and bind every device without a cached
+            // binding; slots land directly in the shared vector —
+            // devices touch disjoint vertices, so the parallel writes
+            // never alias.
             out.placement.slotOf.assign(dg.numVertices(),
                                         SlotCoord{0, 0});
             for (DeviceId d = 0; d < num_devices; ++d) {
-                if (!cached[d])
+                if (!l2_devices[d].placeCached)
                     continue;
                 for (std::size_t i = 0; i < verts_of[d].size(); ++i)
                     out.placement.slotOf[verts_of[d][i]] =
-                        entries[d].slots[i];
+                        l2_devices[d].place.slots[i];
             }
             auto solveDevice = [&](std::int64_t d) {
-                if (cached[d])
-                    return;
-                IntraDeviceResult fr = floorplanIntraDevice(
-                    dg, dev, verts_of[d], intra);
-                cache::IntraDeviceEntry &e = entries[d];
-                e.slots = std::move(fr.slotOf);
-                for (std::size_t i = 0; i < verts_of[d].size(); ++i)
-                    out.placement.slotOf[verts_of[d][i]] = e.slots[i];
-                HbmDeviceBinding hb =
-                    bindHbmDevice(dg, dev, out.placement, users_of[d],
-                                  bind_opt.sweep);
-                e.grants = std::move(hb.grants);
-                e.usersPerChannel = std::move(hb.usersPerChannel);
-                e.displacement = hb.displacement;
-                e.allIlpOptimal = fr.allIlpOptimal;
-                e.stats = fr.stats;
-                interrupted_of[d] =
-                    (fr.interrupted || fr.stats.interrupted) ? 1 : 0;
+                DeviceL2 &l2 = l2_devices[d];
+                if (!l2.placeCached) {
+                    IntraDeviceResult fr = floorplanIntraDevice(
+                        dg, dev, verts_of[d], intra);
+                    l2.place.slots = std::move(fr.slotOf);
+                    for (std::size_t i = 0; i < verts_of[d].size(); ++i)
+                        out.placement.slotOf[verts_of[d][i]] =
+                            l2.place.slots[i];
+                    l2.place.allIlpOptimal = fr.allIlpOptimal;
+                    l2.place.stats = fr.stats;
+                    l2.interrupted = fr.interrupted || fr.stats.interrupted;
+                }
+                if (!l2.bindCached)
+                    l2.bind = bindHbmDevice(dg, dev, out.placement,
+                                            users_of[d], bind_opt.sweep);
             };
             int threads = intra.numThreads;
             if (threads <= 0)
@@ -558,9 +576,15 @@ compile(const TaskGraph &g, const Cluster &cluster,
                     solveDevice(d);
             }
             if (cc != nullptr && !volatile_ctx) {
-                for (DeviceId d = 0; d < num_devices; ++d) {
-                    if (!cached[d] && !interrupted_of[d])
-                        cc->putIntraDevice(dev_keys[d], entries[d]);
+                // A truncated placement stores neither entry: its
+                // binding would sit under the full placement's key.
+                for (const DeviceL2 &l2 : l2_devices) {
+                    if (l2.interrupted)
+                        continue;
+                    if (!l2.placeCached)
+                        cc->putIntraDevice(l2.placeKey, l2.place);
+                    if (!l2.bindCached)
+                        cc->putHbmBinding(l2.bindKey, l2.bind);
                 }
             }
 
@@ -574,20 +598,28 @@ compile(const TaskGraph &g, const Cluster &cluster,
             out.l2SolverStats = ilp::SolverStats{};
             out.l2SolverStats.provenOptimal = true; // merge() identity
             bool l2_interrupted = false;
+            std::int64_t devices_cached = 0, bindings_cached = 0;
             for (DeviceId d = 0; d < num_devices; ++d) {
-                const cache::IntraDeviceEntry &e = entries[d];
-                l2_interrupted = l2_interrupted || interrupted_of[d];
-                out.l2SolverStats.merge(e.stats);
+                const DeviceL2 &l2 = l2_devices[d];
+                l2_interrupted = l2_interrupted || l2.interrupted;
+                devices_cached += l2.placeCached ? 1 : 0;
+                bindings_cached += l2.bindCached ? 1 : 0;
+                out.l2SolverStats.merge(l2.place.stats);
                 if (users_of[d].empty())
                     continue;
-                out.binding.usersPerChannel[d] = e.usersPerChannel;
+                out.binding.usersPerChannel[d] = l2.bind.usersPerChannel;
                 for (std::size_t i = 0; i < users_of[d].size(); ++i)
                     out.binding.channelsOf[users_of[d][i]] =
-                        e.grants[i];
-                out.binding.displacementCost += e.displacement;
+                        l2.bind.grants[i];
+                out.binding.displacementCost += l2.bind.displacement;
             }
             out.l2SolverStats.threadsUsed =
                 std::max(out.l2SolverStats.threadsUsed, threads);
+            if (devices_cached < num_devices) {
+                obs::MetricsRegistry::global()
+                    .counter("tapacs.compile.l2_solves")
+                    .add(num_devices - devices_cached);
+            }
 
             if (l2_interrupted) {
                 out.degraded = true;
@@ -606,9 +638,8 @@ compile(const TaskGraph &g, const Cluster &cluster,
                                 .count();
             span.arg("cost", intraFpgaCost(dg, out.partition,
                                            out.placement))
-                .arg("devices_cached",
-                     static_cast<std::int64_t>(std::count(
-                         cached.begin(), cached.end(), 1)))
+                .arg("devices_cached", devices_cached)
+                .arg("bindings_cached", bindings_cached)
                 .arg("solver_nodes", out.l2SolverStats.nodesExplored)
                 .arg("lp_iterations", out.l2SolverStats.lpIterations)
                 .arg("seconds", out.l2Seconds);
@@ -684,8 +715,10 @@ compile(const TaskGraph &g, const Cluster &cluster,
         };
         if (l1_key_recorded)
             capture(cache::kTierL1, l1_used_key);
-        for (const cache::CacheKey &key : l2_used_keys)
-            capture(cache::kTierL2Device, key);
+        for (const DeviceL2 &l2 : l2_devices) {
+            capture(cache::kTierL2Place, l2.placeKey);
+            capture(cache::kTierL2Bind, l2.bindKey);
+        }
     }
     return out;
 }
@@ -894,7 +927,9 @@ computeDelta(const cache::CompileSignature &prior,
                 ++d.hlsReused;
         } else if (a.tier == cache::kTierL1) {
             d.l1Reused = d.l1Reused || reused;
-        } else if (a.tier == cache::kTierL2Device) {
+        } else if (a.tier == cache::kTierL2Place) {
+            // A device counts as reused when its placement was: a
+            // binding alone is a cheap re-run, not a re-solve.
             ++d.devicesTotal;
             if (reused)
                 ++d.devicesReused;

@@ -14,8 +14,9 @@
  * Reuse: all points of one sweep share one compile cache (the
  * caller's, or a sweep-private store). Reuse is purely exact-key —
  * the per-task HLS estimates are shared by every point, level-1
- * solves by points agreeing on (T, topology), and per-device level-2
- * solves by points agreeing on (partition, λ, binding policy) — so
+ * solves by points agreeing on (T, topology), per-device level-2
+ * placements by points agreeing on (partition, λ), and their HBM
+ * bindings by points that also agree on the binding policy — so
  * every point's result is bit-identical to a cold compile with the
  * same knobs (the differential suite pins this). The family-key
  * warm start (ExploreOptions::familyWarmStart) is the same opt-in

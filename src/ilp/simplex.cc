@@ -26,18 +26,21 @@ struct Tableau
 {
     explicit Tableau(LpWorkspace &ws)
         : a(ws.matrix), rhs(ws.rhs), cost(ws.cost), basis(ws.basis),
-          locked(ws.locked), pivotCols(ws.pivotCols)
+          pivotCols(ws.pivotCols)
     {
     }
 
     int rows = 0;
     int cols = 0; // excludes rhs column
+    /** Leading columns that can enter and that pivots keep current.
+     *  Phase 2 drops the artificial tail: none enters again, and a
+     *  column's cells feed only that column, so nothing reads them. */
+    int live = 0;
     std::vector<double> &a; // rows x cols, row-major
     std::vector<double> &rhs;
     std::vector<double> &cost;   // current phase objective
     double costShift = 0.0;      // constant part of objective
     std::vector<int> &basis;     // basis[r] = basic column of row r
-    std::vector<unsigned char> &locked; // excluded from entering
     std::vector<int> &pivotCols; // nonzero columns of the pivot row
 
     double &at(int r, int c) { return a[static_cast<size_t>(r) * cols + c]; }
@@ -47,11 +50,11 @@ struct Tableau
     }
 
     /**
-     * Pivot on (pr, pc), updating only the columns where the scaled
-     * pivot row is nonzero. At any other column a dense update would
-     * subtract f * 0, which leaves the cell's value unchanged (at most
-     * the sign of a zero differs, and every test reads values through
-     * != 0, > tol, < -tol or abs()). Each updated cell, RHS and
+     * Pivot on (pr, pc), updating only the live columns where the
+     * scaled pivot row is nonzero. At any other column a dense update
+     * would subtract f * 0, which leaves the cell's value unchanged (at
+     * most the sign of a zero differs, and every test reads values
+     * through != 0, > tol, < -tol or abs()). Each updated cell, RHS and
      * costShift sees the same operations in the same order as a dense
      * update, so every LP takes the same pivots to the same bits.
      */
@@ -63,7 +66,7 @@ struct Tableau
         const double inv = 1.0 / pivval;
         double *prow = &at(pr, 0);
         int nnz = 0;
-        for (int c = 0; c < cols; ++c) {
+        for (int c = 0; c < live; ++c) {
             prow[c] *= inv;
             pivotCols[nnz] = c;
             nnz += prow[c] != 0.0;
@@ -100,7 +103,7 @@ struct Tableau
         const double f = cost[bc];
         if (f == 0.0)
             return;
-        for (int c = 0; c < cols; ++c)
+        for (int c = 0; c < live; ++c)
             cost[c] -= f * at(r, c);
         costShift -= f * rhs[r];
         cost[bc] = 0.0;
@@ -125,17 +128,15 @@ iterate(Tableau &t, const SimplexOptions &opt, int max_iters, int &pivots)
         int pc = -1;
         if (!bland) {
             double best = -tol;
-            for (int c = 0; c < t.cols; ++c) {
-                if (t.locked[c])
-                    continue;
+            for (int c = 0; c < t.live; ++c) {
                 if (t.cost[c] < best) {
                     best = t.cost[c];
                     pc = c;
                 }
             }
         } else {
-            for (int c = 0; c < t.cols; ++c) {
-                if (!t.locked[c] && t.cost[c] < -tol) {
+            for (int c = 0; c < t.live; ++c) {
+                if (t.cost[c] < -tol) {
                     pc = c;
                     break;
                 }
@@ -246,10 +247,10 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
     Tableau t(ws);
     t.rows = m;
     t.cols = first_art + n_art;
+    t.live = t.cols;
     t.a.assign(static_cast<size_t>(t.rows) * t.cols, 0.0);
     t.cost.assign(t.cols, 0.0);
     t.basis.assign(m, -1);
-    t.locked.assign(t.cols, 0);
     t.pivotCols.resize(t.cols);
 
     const int n_cons = model.numConstraints();
@@ -322,8 +323,7 @@ solveLp(const Model &model, const std::vector<double> &boundsLower,
                 t.pivot(r, pc);
             // else: redundant row; the basic artificial stays at zero.
         }
-        for (int c = first_art; c < t.cols; ++c)
-            t.locked[c] = true;
+        t.live = first_art;
     }
 
     // Phase 2: original objective over shifted variables.

@@ -81,7 +81,6 @@ struct LpWorkspace
     std::vector<double> rhs;
     std::vector<double> cost;
     std::vector<int> basis;
-    std::vector<unsigned char> locked;
     std::vector<RowForm> rowForms;
     std::vector<int> pivotCols; ///< nonzero columns of the pivot row
     std::vector<double> lower;  ///< effective per-variable bounds

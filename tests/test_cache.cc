@@ -3,7 +3,8 @@
  * Compile-cache tests: canonical-key properties (relabeling
  * invariance, mutation sensitivity), store mechanics (LRU, metrics,
  * disk tier), the cold/warm differential (a cache hit never changes a
- * compile result), family warm-starts, and shared-cache concurrency.
+ * compile result), family warm-starts, the split level-2 placement and
+ * binding tiers, and shared-cache concurrency.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "apps/knn.hh"
 #include "cache/compile_cache.hh"
+#include "cache/delta.hh"
+#include "cache/entry_io.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -23,6 +27,7 @@
 #include "network/cluster.hh"
 #include "network/topology.hh"
 #include "obs/metrics.hh"
+#include "serve/execute.hh"
 
 namespace tapacs
 {
@@ -479,6 +484,226 @@ TEST(CompileCache, FamilyEntryWarmStartsNearMissRequests)
                   .snapshot()
                   .counterValue("tapacs.cache.warm_starts"),
               1);
+}
+
+// ---------------------------------------------------------------
+// Level-2 tiers: one entry per device for the placement, one for the
+// HBM binding computed from it.
+
+/** Devices whose level-2 placement the compiler has solved so far
+ *  (the counter is process-wide, so tests read differences). */
+std::int64_t
+l2Solves()
+{
+    return obs::MetricsRegistry::global()
+        .counter("tapacs.compile.l2_solves")
+        .value();
+}
+
+apps::AppDesign
+knn2()
+{
+    return apps::buildKnn(apps::KnnConfig::scaled(1'000'000, 2, 2));
+}
+
+CompileOptions
+knnOptions(bool bindingSweep)
+{
+    CompileOptions opt;
+    opt.mode = CompileMode::TapaCs;
+    opt.numFpgas = 2;
+    opt.hbmBindingSweep = bindingSweep;
+    dropWallClockSolverLimits(&opt); // node budgets only: reproducible
+    return opt;
+}
+
+/** The artifacts of one tier in a compile's reuse signature. */
+std::vector<cache::Artifact>
+artifactsOf(const CompileResult &r, const char *tier)
+{
+    std::vector<cache::Artifact> out;
+    for (const cache::Artifact &a : r.signature.artifacts) {
+        if (a.tier == tier)
+            out.push_back(a);
+    }
+    return out;
+}
+
+TEST(CompileCache, BindingPolicyChangeRebindsTheCachedPlacement)
+{
+    // The bisection never reads the binding policy, so a request that
+    // flips only hbmBindingSweep must reuse every device's placement
+    // and re-run just the binder — and still equal a cold compile.
+    Cluster cluster = makePaperTestbed(2);
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    CompileOptions opt = knnOptions(true);
+    opt.cache = &cc;
+    apps::AppDesign a = knn2();
+    const CompileResult swept =
+        compileProgram(a.graph, a.tasks, cluster, opt);
+    ASSERT_TRUE(swept.routable) << swept.failureReason;
+
+    const std::int64_t solves = l2Solves();
+    opt.hbmBindingSweep = false;
+    apps::AppDesign b = knn2();
+    const CompileResult nearest =
+        compileProgram(b.graph, b.tasks, cluster, opt);
+    ASSERT_TRUE(nearest.routable) << nearest.failureReason;
+    EXPECT_EQ(l2Solves(), solves) << "a placement was re-solved";
+
+    apps::AppDesign c = knn2();
+    const CompileResult cold =
+        compileProgram(c.graph, c.tasks, cluster, knnOptions(false));
+    ASSERT_TRUE(cold.routable) << cold.failureReason;
+    EXPECT_GT(l2Solves(), solves); // the cold compile did solve
+    EXPECT_EQ(serve::resultDigest(nearest), serve::resultDigest(cold));
+    expectResultsIdentical(cold, nearest, "rebound vs cold");
+
+    // Same placements, one binding entry per policy.
+    const auto places = artifactsOf(nearest, cache::kTierL2Place);
+    const auto binds = artifactsOf(nearest, cache::kTierL2Bind);
+    ASSERT_EQ(places.size(), 2u);
+    ASSERT_EQ(binds.size(), 2u);
+    for (std::size_t d = 0; d < places.size(); ++d) {
+        EXPECT_EQ(places[d].key,
+                  artifactsOf(swept, cache::kTierL2Place)[d].key);
+        EXPECT_NE(binds[d].key,
+                  artifactsOf(swept, cache::kTierL2Bind)[d].key);
+    }
+}
+
+TEST(CompileCache, MismatchedBindingEntryIsRecomputedFromThePlacement)
+{
+    Cluster cluster = makePaperTestbed(2);
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    CompileOptions opt = knnOptions(true);
+    opt.cache = &cc;
+    apps::AppDesign a = knn2();
+    const CompileResult cold =
+        compileProgram(a.graph, a.tasks, cluster, opt);
+    ASSERT_TRUE(cold.routable) << cold.failureReason;
+
+    // Give every device's binding entry one grant more than the device
+    // has memory users.
+    const auto binds = artifactsOf(cold, cache::kTierL2Bind);
+    ASSERT_EQ(binds.size(), 2u);
+    std::vector<std::size_t> users;
+    for (const cache::Artifact &art : binds) {
+        HbmDeviceBinding hb;
+        ASSERT_TRUE(cc.getHbmBinding(art.key, &hb));
+        users.push_back(hb.grants.size());
+        hb.grants.push_back({0});
+        cc.putHbmBinding(art.key, hb);
+    }
+    ASSERT_GT(users[0] + users[1], 0u);
+
+    const std::int64_t solves = l2Solves();
+    apps::AppDesign b = knn2();
+    const CompileResult warm =
+        compileProgram(b.graph, b.tasks, cluster, opt);
+    EXPECT_EQ(l2Solves(), solves) << "a placement was re-solved";
+    expectResultsIdentical(cold, warm, "rebound vs cold");
+    // The recomputed binding replaced the mismatched entry.
+    for (std::size_t d = 0; d < binds.size(); ++d) {
+        HbmDeviceBinding hb;
+        ASSERT_TRUE(cc.getHbmBinding(binds[d].key, &hb));
+        EXPECT_EQ(hb.grants.size(), users[d]) << "device " << d;
+    }
+}
+
+/** A device's phase-5 artifacts in the combined schema-3 `intradev1`
+ *  layout, which stored placement and binding in one entry. */
+std::string
+intradev1Blob(const cache::IntraDeviceEntry &place,
+              const HbmDeviceBinding &bind)
+{
+    cache::EntryWriter w;
+    w.tag("intradev1");
+    w.i64(static_cast<std::int64_t>(place.slots.size()));
+    w.i64(static_cast<std::int64_t>(bind.grants.size()));
+    w.i64(static_cast<std::int64_t>(bind.usersPerChannel.size()));
+    w.f64(bind.displacement);
+    w.i64(place.allIlpOptimal ? 1 : 0);
+    cache::writeStats(w, place.stats);
+    for (const SlotCoord &s : place.slots) {
+        w.i64(s.col);
+        w.i64(s.row);
+    }
+    for (const auto &channels : bind.grants) {
+        w.i64(static_cast<std::int64_t>(channels.size()));
+        for (int c : channels)
+            w.i64(c);
+    }
+    for (int u : bind.usersPerChannel)
+        w.i64(u);
+    return w.take();
+}
+
+TEST(CompileCache, SchemaThreeArtifactsAreNeverMisread)
+{
+    Cluster cluster = makePaperTestbed(2);
+    cache::CacheStore store;
+    cache::CompileCache cc(store);
+    CompileOptions opt = knnOptions(true);
+    opt.cache = &cc;
+    apps::AppDesign a = knn2();
+    const CompileResult cold =
+        compileProgram(a.graph, a.tasks, cluster, opt);
+    ASSERT_TRUE(cold.routable) << cold.failureReason;
+    const auto places = artifactsOf(cold, cache::kTierL2Place);
+    const auto binds = artifactsOf(cold, cache::kTierL2Bind);
+    ASSERT_EQ(places.size(), 2u);
+    ASSERT_EQ(binds.size(), 2u);
+
+    // Overwrite both tiers with the combined schema-3 entry: neither
+    // reader may accept it, so every placement is solved again.
+    std::vector<std::string> legacy;
+    for (std::size_t d = 0; d < places.size(); ++d) {
+        cache::IntraDeviceEntry place;
+        HbmDeviceBinding bind;
+        ASSERT_TRUE(cc.getIntraDevice(places[d].key, &place));
+        ASSERT_TRUE(cc.getHbmBinding(binds[d].key, &bind));
+        legacy.push_back(intradev1Blob(place, bind));
+        store.put(places[d].key, legacy.back());
+        store.put(binds[d].key, legacy.back());
+        EXPECT_FALSE(cc.getIntraDevice(places[d].key, &place));
+        EXPECT_FALSE(cc.getHbmBinding(binds[d].key, &bind));
+    }
+    const std::int64_t solves = l2Solves();
+    apps::AppDesign b = knn2();
+    const CompileResult warm =
+        compileProgram(b.graph, b.tasks, cluster, opt);
+    EXPECT_EQ(l2Solves(), solves + 2);
+    expectResultsIdentical(cold, warm, "legacy entries vs cold");
+
+    // A schema-3 state file (per-device `l2dev` artifacts holding
+    // `intradev1` blobs) takes the typed cold-compile fallback.
+    cache::CompileSignature old_sig = cold.signature;
+    old_sig.schemaVersion = 3;
+    old_sig.artifacts.erase(
+        std::remove_if(old_sig.artifacts.begin(), old_sig.artifacts.end(),
+                       [](const cache::Artifact &art) {
+                           return art.tier == cache::kTierL2Place ||
+                                  art.tier == cache::kTierL2Bind;
+                       }),
+        old_sig.artifacts.end());
+    for (std::size_t d = 0; d < places.size(); ++d)
+        old_sig.artifacts.push_back(
+            cache::Artifact{"l2dev", places[d].key, legacy[d]});
+    CompileResult prior = cold;
+    ASSERT_TRUE(cache::parseSignature(cache::serializeSignature(old_sig),
+                                      &prior.signature));
+    apps::AppDesign c = knn2();
+    const CompileResult inc = recompileProgram(
+        prior, c.graph, c.tasks, cluster, knnOptions(true));
+    expectResultsIdentical(cold, inc, "schema-3 prior vs cold");
+    EXPECT_FALSE(inc.degraded);
+    EXPECT_NE(inc.degradedReason.find("cache schema 3"), std::string::npos)
+        << inc.degradedReason;
+    EXPECT_EQ(inc.delta.devicesReused, 0);
+    EXPECT_FALSE(inc.delta.l1Reused);
 }
 
 TEST(CacheConcurrency, SharedCacheBatchMatchesSerialBitExactly)

@@ -263,6 +263,30 @@ TEST(RunExplore, SweepResultsMatchIndependentColdCompiles)
     }
 }
 
+TEST(RunExplore, BindingAxisSolvesEachPlacementOnce)
+{
+    // The placement never reads the binding policy: over
+    // binding=nearest,sweep every (device, T) placement is solved once
+    // and the other policy rebinds it from the cache.
+    TaskGraph g = randomDesign(4400, 3, 4);
+    ExploreSpec spec;
+    ASSERT_TRUE(parseGridSpec("t=0.6,0.7;binding=nearest,sweep", &spec)
+                    .ok());
+    ExploreOptions opt;
+    opt.base.numFpgas = 2;
+    opt.threads = 1;
+    obs::Counter &solves = obs::MetricsRegistry::global().counter(
+        "tapacs.compile.l2_solves");
+    const std::int64_t before = solves.value();
+    const ExploreResult r = runExplore(g, {}, spec, opt);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    for (const PointOutcome &po : r.trace)
+        ASSERT_TRUE(po.routable) << po.point.label();
+    EXPECT_EQ(solves.value() - before,
+              static_cast<std::int64_t>(opt.base.numFpgas *
+                                        spec.thresholds.size()));
+}
+
 TEST(RunExplore, InvalidSpecIsTypedAndTraceless)
 {
     TaskGraph g = randomDesign(4400, 2, 3);
