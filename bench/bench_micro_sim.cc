@@ -1,28 +1,20 @@
 /**
  * @file
- * Gated throughput bench for the dataflow-simulator engines.
+ * Throughput bench for the dataflow simulator's event loop.
  *
  * Two measurements, both reported as events/second (and to --json):
  *
- *  1. Serial-engine event throughput on deep single-device pipelines
- *     (the tight-loop cost of one pop/fire/push cycle).
- *  2. Serial vs parallel engine on an 8-FPGA CNN (13x32 systolic
- *     grid, batch 32) placed over a single-node ring of eight U55Cs,
- *     the workload class the parallel engine exists for.
+ *  1. Event throughput on deep single-device pipelines (the
+ *     tight-loop cost of one pop/fire/push cycle).
+ *  2. An 8-FPGA CNN (13x32 systolic grid, batch 32) placed over a
+ *     single-node ring of eight U55Cs, the largest paper-shaped run.
  *
- * The parallel run is checked bit-identical to the serial reference
- * before any timing is trusted, then the speedup gates the bench:
- * with >= 4 hardware threads the parallel engine must be >= 2x the
- * serial engine or the process exits nonzero. The engine's design
- * target is >= 10x on an unloaded 8-core host (8 LPs, one per FPGA);
- * the gate sits at 2x so loaded CI boxes do not flake. Hosts with
- * fewer than 4 hardware threads report the ratio but skip the gate —
- * there is no parallelism to measure.
+ * A smoke test that the simulator finishes (simulate() aborts on a
+ * run that does not complete), not a speed gate.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "apps/cnn.hh"
 #include "bench/bench_util.hh"
@@ -89,22 +81,6 @@ pipelineEventsPerSecond(int depth, int blocks)
     return events / seconds;
 }
 
-/** Exact-equality check between two runs; dies naming the field. */
-void
-requireIdentical(const sim::SimResult &a, const sim::SimResult &b)
-{
-    if (a.makespan != b.makespan)
-        fatal("engines disagree on makespan: %.17g vs %.17g",
-              a.makespan, b.makespan);
-    if (a.stats.get("events") != b.stats.get("events"))
-        fatal("engines disagree on event count: %.0f vs %.0f",
-              a.stats.get("events"), b.stats.get("events"));
-    if (a.taskFinish != b.taskFinish)
-        fatal("engines disagree on per-task finish times");
-    if (a.interDeviceBytes != b.interDeviceBytes)
-        fatal("engines disagree on inter-device traffic");
-}
-
 } // namespace
 
 int
@@ -112,7 +88,7 @@ main(int argc, char **argv)
 {
     JsonReport report(argc, argv);
 
-    std::printf("Simulator engine throughput\n\n");
+    std::printf("Simulator event throughput\n\n");
     {
         TextTable t({"Pipeline", "events/s"});
         const int shapes[][2] = {{8, 64}, {32, 64}, {32, 512},
@@ -128,11 +104,7 @@ main(int argc, char **argv)
         t.print();
     }
 
-    // The engine-comparison workload: a wide CNN spread over eight
-    // devices on ONE node, so every FIFO crossing devices carries the
-    // intra-node link lookahead and all eight LPs can run concurrently
-    // (a 2x4-node testbed would serialize windows on the much tighter
-    // cross-node horizon instead).
+    // A wide CNN spread over eight devices on one node.
     apps::CnnConfig cfg;
     cfg.rows = 13;
     cfg.cols = 32;
@@ -151,58 +123,26 @@ main(int argc, char **argv)
         fatal("8-FPGA CNN did not route: %s",
               compiled.failureReason.c_str());
 
-    auto runEngine = [&](sim::SimEngine engine, sim::SimResult *out) {
-        sim::SimOptions sopt;
-        sopt.exportMetrics = false;
-        sopt.engine = engine;
-        sopt.numThreads = 8; // one LP per FPGA
-        return bestOf(3, [&]() {
-            *out = sim::simulate(app.graph, cluster, compiled.partition,
-                                 compiled.binding, compiled.pipeline,
-                                 compiled.deviceFmax, sopt);
-        });
-    };
-
-    sim::SimResult serial;
-    sim::SimResult parallel;
-    const double serialSeconds =
-        runEngine(sim::SimEngine::Serial, &serial);
-    const double parallelSeconds =
-        runEngine(sim::SimEngine::Parallel, &parallel);
-    requireIdentical(serial, parallel);
-
-    const double events = serial.stats.get("events");
-    const double speedup = serialSeconds / parallelSeconds;
-    const unsigned hw = std::thread::hardware_concurrency();
+    sim::SimOptions sopt;
+    sopt.exportMetrics = false;
+    sim::SimResult result;
+    const double seconds = bestOf(3, [&]() {
+        result = sim::simulate(app.graph, cluster, compiled.partition,
+                               compiled.binding, compiled.pipeline,
+                               compiled.deviceFmax, sopt);
+    });
+    const double events = result.stats.get("events");
 
     std::printf("\n8-FPGA CNN (13x32, batch 32): %.0f events\n",
                 events);
-    TextTable t({"Engine", "seconds", "events/s"});
-    t.addRow({"serial", strprintf("%.4f", serialSeconds),
-              strprintf("%.3g", events / serialSeconds)});
-    t.addRow({"parallel (8 threads)", strprintf("%.4f", parallelSeconds),
-              strprintf("%.3g", events / parallelSeconds)});
+    TextTable t({"Run", "seconds", "events/s"});
+    t.addRow({"8-FPGA CNN", strprintf("%.4f", seconds),
+              strprintf("%.3g", events / seconds)});
     t.print();
-    std::printf("speedup: %s (host has %u hardware threads)\n",
-                speedupStr(speedup).c_str(), hw);
 
     report.add("cnn8.events", events);
-    report.add("cnn8.serial_seconds", serialSeconds);
-    report.add("cnn8.parallel_seconds", parallelSeconds);
-    report.add("cnn8.speedup", speedup);
+    report.add("cnn8.seconds", seconds);
+    report.add("cnn8.events_per_s", events / seconds);
     report.write();
-
-    if (hw < 4) {
-        std::printf("SKIP: gate needs >= 4 hardware threads; results "
-                    "recorded ungated\n");
-        return 0;
-    }
-    if (speedup < 2.0) {
-        std::printf("FAIL: parallel engine is %.2fx serial "
-                    "(gate: >= 2x on >= 4 hardware threads)\n",
-                    speedup);
-        return 1;
-    }
-    std::printf("PASS: gate >= 2x\n");
     return 0;
 }

@@ -7,8 +7,6 @@
  * for a coarse partitioning instance.
  */
 
-#include <chrono>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -25,7 +23,7 @@ using namespace tapacs::ilp;
 namespace
 {
 
-/** Knapsack instance shared by the serial and MT variants. */
+/** Knapsack instance for the branch-and-bound benches. */
 Model
 makeKnapsack(int n)
 {
@@ -70,44 +68,6 @@ makePartitionIlp(int v)
     }
     m.setObjective(std::move(obj));
     return m;
-}
-
-/**
- * Run one solver configuration and report speedup against the
- * 1-thread run of the same instance. Registration order puts the
- * 1-thread variant first per instance size, so the baseline is always
- * populated by the time the MT variants execute.
- */
-void
-runThreadSweep(benchmark::State &state, const Model &m,
-               const SolverOptions &base,
-               std::map<std::int64_t, double> &baselines)
-{
-    const int threads = static_cast<int>(state.range(1));
-    double total = 0.0;
-    std::int64_t iters = 0;
-    double objective = 0.0;
-    for (auto _ : state) {
-        const auto t0 = std::chrono::steady_clock::now();
-        SolverOptions opt = base;
-        opt.numThreads = threads;
-        BranchBoundSolver solver(opt);
-        Solution s = solver.solve(m);
-        total += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-        ++iters;
-        objective = s.objective;
-        benchmark::DoNotOptimize(s.status);
-    }
-    const double per_iter = iters > 0 ? total / iters : 0.0;
-    if (threads == 1)
-        baselines[state.range(0)] = per_iter;
-    state.counters["threads"] = threads;
-    state.counters["objective"] = objective;
-    const auto it = baselines.find(state.range(0));
-    if (it != baselines.end() && per_iter > 0.0)
-        state.counters["speedup_vs_1t"] = it->second / per_iter;
 }
 
 Model
@@ -223,17 +183,6 @@ BM_BranchBoundKnapsack(benchmark::State &state)
 BENCHMARK(BM_BranchBoundKnapsack)->Arg(8)->Arg(16)->Arg(24);
 
 void
-BM_BranchBoundKnapsackMT(benchmark::State &state)
-{
-    static std::map<std::int64_t, double> baselines;
-    Model m = makeKnapsack(static_cast<int>(state.range(0)));
-    runThreadSweep(state, m, SolverOptions{}, baselines);
-}
-BENCHMARK(BM_BranchBoundKnapsackMT)
-    ->ArgsProduct({{16, 24}, {1, 2, 4, 8}})
-    ->UseRealTime();
-
-void
 BM_AssignmentIlp(benchmark::State &state)
 {
     // Mirrors one coarse level-1 solve.
@@ -248,20 +197,6 @@ BM_AssignmentIlp(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AssignmentIlp)->Arg(16)->Arg(32)->Arg(64);
-
-void
-BM_AssignmentIlpMT(benchmark::State &state)
-{
-    static std::map<std::int64_t, double> baselines;
-    Model m = makePartitionIlp(static_cast<int>(state.range(0)));
-    SolverOptions base;
-    base.maxNodes = 200;
-    base.timeLimitSeconds = 2.0;
-    runThreadSweep(state, m, base, baselines);
-}
-BENCHMARK(BM_AssignmentIlpMT)
-    ->ArgsProduct({{32, 64}, {1, 2, 4, 8}})
-    ->UseRealTime();
 
 } // namespace
 

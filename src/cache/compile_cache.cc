@@ -12,9 +12,7 @@ namespace tapacs::cache
 namespace
 {
 
-/** Fold the solver knobs that can change which solution comes back
- *  (thread count included: the parallel search may return a different
- *  tied-optimal point than the serial one). */
+/** Fold the solver knobs that can change which solution comes back. */
 void
 mixSolver(KeyBuilder &b, const ilp::SolverOptions &s)
 {
@@ -22,7 +20,6 @@ mixSolver(KeyBuilder &b, const ilp::SolverOptions &s)
         .f64(s.timeLimitSeconds)
         .f64(s.intTol)
         .f64(s.relativeGap)
-        .i64(s.numThreads)
         .f64(s.lp.tol)
         .i64(s.lp.maxIterations);
 }

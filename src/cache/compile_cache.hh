@@ -79,8 +79,7 @@ constexpr int kSchemaVersion = 4;
 CacheKey hlsTaskKey(const hls::TaskIr &task);
 
 /** Exact key of a level-1 inter-FPGA solve. Excludes only
- *  solver-irrelevant knobs (thread counts are *included* here, since
- *  the parallel ILP may return a different tied-optimal point). */
+ *  solver-irrelevant knobs such as thread counts. */
 CacheKey interKey(const GraphFingerprint &fp, const Cluster &cluster,
                   int numFpgas, const InterFpgaOptions &options);
 

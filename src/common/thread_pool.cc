@@ -97,8 +97,6 @@ ThreadPool::popTask(int self, std::function<void()> &out)
             out = std::move(s.tasks.front());
             s.tasks.pop_front();
             queued_.fetch_sub(1, std::memory_order_relaxed);
-            if (victim != self)
-                steals_.fetch_add(1, std::memory_order_relaxed);
             return true;
         }
     }

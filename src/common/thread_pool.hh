@@ -6,9 +6,8 @@
  * hot paths of the compiler (paper section 5.6 reports 1.9-37.8 s of
  * solver time with Gurobi); every parallel consumer in this repo
  * draws workers from the one fixed-size pool below rather than
- * spawning ad-hoc threads, so nested parallelism (a parallel solver
- * inside a parallel per-device loop) composes without
- * oversubscription.
+ * spawning ad-hoc threads, so nested parallelism (a per-candidate
+ * sweep inside a per-device loop) composes without oversubscription.
  *
  * Design: one deque of tasks per worker, each guarded by its own
  * mutex. A worker pops from the back of its own deque (LIFO, cache
@@ -55,17 +54,6 @@ class ThreadPool
 
     /** Number of worker threads. */
     int size() const { return static_cast<int>(threads_.size()); }
-
-    /**
-     * Tasks popped from a deque other than the caller's own since the
-     * pool was built — the work-stealing traffic. Monotonic;
-     * consumers (the parallel sim engine's `tapacs.sim.par.steals`
-     * gauge) report deltas across a region of interest.
-     */
-    std::uint64_t stealCount() const
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
 
     /** Enqueue a task for asynchronous execution. */
     void submit(std::function<void()> task);
@@ -125,8 +113,6 @@ class ThreadPool
 
     /** Tasks sitting in deques (not yet started). */
     std::atomic<int> queued_{0};
-    /** Tasks taken from another worker's deque (see stealCount()). */
-    std::atomic<std::uint64_t> steals_{0};
     /** Round-robin cursor for external submissions. */
     std::atomic<unsigned> submitCursor_{0};
 

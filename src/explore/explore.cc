@@ -12,6 +12,7 @@
 #include "network/cluster.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "sim/dataflow_sim.hh"
 
 namespace tapacs::explore
 {
@@ -174,7 +175,6 @@ runExplore(const TaskGraph &g, const std::vector<hls::TaskIr> &tasks,
                 if (options.simulate && po.routable &&
                     po.status.ok()) {
                     sim::SimOptions sopt;
-                    sopt.engine = options.simEngine;
                     sopt.exportMetrics = false;
                     sopt.ctx = popt.ctx;
                     const TaskGraph &simGraph =

@@ -53,7 +53,6 @@
 #include "compiler/compiler.hh"
 #include "explore/pareto.hh"
 #include "explore/spec.hh"
-#include "sim/dataflow_sim.hh"
 
 namespace tapacs::explore
 {
@@ -83,7 +82,6 @@ struct ExploreOptions
     bool familyWarmStart = false;
     /** Simulate each routable point for the latency objective. */
     bool simulate = true;
-    sim::SimEngine simEngine = sim::SimEngine::Serial;
     /**
      * Zero the ILP wall-clock cutoffs so solves are node-bounded and
      * load-independent (the differential suites' contract). Disable

@@ -178,12 +178,6 @@ struct InterFpgaOptions
         ilp::SolverOptions s;
         s.maxNodes = 150;
         s.timeLimitSeconds = 5.0;
-        // Serial by default so the coarse-ILP assignment — and with
-        // it the whole level-1 partition — is bit-identical run to
-        // run; a parallel search reaches the same objective but may
-        // pick a different tied-optimal assignment. Callers wanting
-        // the parallel solver set numThreads explicitly.
-        s.numThreads = 1;
         return s;
     }
 };

@@ -59,9 +59,8 @@ struct LpResult
  *
  * Branch-and-bound calls solveLp once per node on a model of fixed
  * shape; without reuse every call allocates a fresh dense tableau
- * (O(rows x cols) doubles), and that allocator traffic is what the
- * parallel solver amplifies first. Each solver worker owns one
- * workspace and threads it through all of its LP solves. solveLp
+ * (O(rows x cols) doubles). Each solve owns one workspace and
+ * threads it through all of its node LPs. solveLp
  * builds the tableau straight into these vectors, which keep their
  * capacity across calls, so steady state performs no heap allocation
  * per node beyond the returned solution.

@@ -1,14 +1,11 @@
 #include "ilp/solver.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
+#include <limits>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/trace.hh"
 
 namespace tapacs::ilp
@@ -16,19 +13,6 @@ namespace tapacs::ilp
 
 namespace
 {
-
-/**
- * Per-worker effort counters, folded into the shared totals (and the
- * worker's trace span) once when the worker retires — the search hot
- * loop touches no shared cache line beyond the node budget.
- */
-struct WorkerCounters
-{
-    std::int64_t nodes = 0;
-    std::int64_t lpSolves = 0;
-    std::int64_t lpIterations = 0;
-    std::int64_t incumbentUpdates = 0;
-};
 
 /** Pending branch-and-bound node: per-variable bound overrides. */
 struct Node
@@ -63,279 +47,6 @@ makeRoot(const Model &model)
     return root;
 }
 
-/**
- * State shared by the parallel search workers. The deque + active
- * counter are guarded by mu; the incumbent *objective* is an atomic
- * so pruning reads never take a lock, while the incumbent *solution*
- * is guarded by bestMu (updates are rare: one per improvement).
- */
-struct SharedSearch
-{
-    const Model &model;
-    const SolverOptions &opt;
-    const std::vector<VarId> &intVars;
-    double tStart = 0.0;
-
-    std::mutex mu;
-    std::deque<Node> deque;
-    int active = 0;  ///< workers currently expanding a node
-    std::atomic<bool> stop{false};
-    std::condition_variable cv;
-
-    std::atomic<std::int64_t> nodesExplored{0};
-    std::atomic<std::int64_t> lpSolves{0};
-    std::atomic<std::int64_t> lpIterations{0};
-    std::atomic<std::int64_t> incumbentUpdates{0};
-    std::atomic<bool> cleanly{true};
-    std::atomic<bool> rootUnbounded{false};
-    std::atomic<bool> interrupted{false};
-
-    std::atomic<double> incumbent{
-        std::numeric_limits<double>::infinity()};
-    std::mutex bestMu;
-    Solution best;
-
-    SharedSearch(const Model &m, const SolverOptions &o,
-                 const std::vector<VarId> &iv)
-        : model(m), opt(o), intVars(iv)
-    {
-    }
-
-    /** Request a cooperative drain (limit hit / root unbounded). */
-    void
-    requestStop(bool clean)
-    {
-        if (!clean)
-            cleanly.store(false, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(mu);
-        stop.store(true, std::memory_order_relaxed);
-        cv.notify_all();
-    }
-
-    /**
-     * Reserve one node-budget slot (and check the clock). The CAS
-     * loop guarantees nodesExplored never exceeds maxNodes no matter
-     * how many workers race here.
-     */
-    bool
-    reserveNode()
-    {
-        if (opt.ctx.done()) {
-            interrupted.store(true, std::memory_order_relaxed);
-            requestStop(false);
-            return false;
-        }
-        std::int64_t id = nodesExplored.load(std::memory_order_relaxed);
-        for (;;) {
-            if (id >= opt.maxNodes) {
-                requestStop(false);
-                return false;
-            }
-            if (nodesExplored.compare_exchange_weak(
-                    id, id + 1, std::memory_order_relaxed))
-                break;
-        }
-        if (opt.timeLimitSeconds > 0.0 &&
-            nowSeconds() - tStart > opt.timeLimitSeconds) {
-            requestStop(false);
-            return false;
-        }
-        return true;
-    }
-
-    /**
-     * Record an integer-feasible point. The atomic bound is lowered
-     * with compare-exchange so concurrent improvements never move it
-     * upward; the full solution follows under bestMu.
-     *
-     * @retval true the point became the new incumbent.
-     */
-    bool
-    offerIncumbent(std::vector<double> vals, double obj)
-    {
-        std::lock_guard<std::mutex> lk(bestMu);
-        if (best.hasSolution() && obj >= best.objective)
-            return false;
-        best.values = std::move(vals);
-        best.objective = obj;
-        best.status = SolveStatus::Feasible;
-        double cur = incumbent.load(std::memory_order_relaxed);
-        while (obj < cur &&
-               !incumbent.compare_exchange_weak(
-                   cur, obj, std::memory_order_release,
-                   std::memory_order_relaxed)) {
-        }
-        return true;
-    }
-};
-
-/**
- * Expand one node: LP-relax, prune, either record an incumbent or
- * branch. On a branch the nearer-side child is handed back through
- * @p dive for the calling worker to expand next (a depth-first dive,
- * which is what finds incumbents early enough to prune), while the
- * farther child goes to the back of the shared deque for idle
- * workers to steal.
- *
- * @retval true @p dive holds the next node for this worker.
- */
-bool
-expandNode(SharedSearch &sh, Node node, LpWorkspace &ws,
-           WorkerCounters &wc, Node *dive)
-{
-    const SolverOptions &opt = sh.opt;
-    {
-        const double inc = sh.incumbent.load(std::memory_order_acquire);
-        if (node.parentBound >=
-            inc - opt.relativeGap * (1.0 + std::abs(inc)))
-            return false;
-    }
-
-    LpResult lp = solveLp(sh.model, node.lo, node.hi, opt.lp, &ws);
-    ++wc.lpSolves;
-    wc.lpIterations += lp.iterations;
-
-    if (lp.status == SolveStatus::Infeasible)
-        return false;
-    if (lp.status == SolveStatus::Unbounded) {
-        if (node.isRoot) {
-            sh.rootUnbounded.store(true, std::memory_order_relaxed);
-            sh.requestStop(true);
-        } else {
-            // A bounded root cannot spawn an unbounded child; treat
-            // as numeric trouble and skip (mirrors the serial path).
-            warn("branch-and-bound: child LP reported unbounded");
-        }
-        return false;
-    }
-    if (lp.status == SolveStatus::LimitReached) {
-        sh.cleanly.store(false, std::memory_order_relaxed);
-        return false;
-    }
-
-    // Re-check against the incumbent *after* the LP solve: another
-    // worker may have found a better bound while we pivoted, and a
-    // late improvement must still prune this subtree.
-    {
-        const double inc = sh.incumbent.load(std::memory_order_acquire);
-        if (lp.objective >= inc - opt.relativeGap * (1.0 + std::abs(inc)))
-            return false;
-    }
-
-    // Find the most fractional integral variable.
-    VarId branch_var = -1;
-    double worst_frac = opt.intTol;
-    for (VarId v : sh.intVars) {
-        const double x = lp.values[v];
-        const double frac = std::abs(x - std::round(x));
-        if (frac > worst_frac) {
-            worst_frac = frac;
-            branch_var = v;
-        }
-    }
-
-    if (branch_var < 0) {
-        // Integer feasible: round off numeric fuzz and accept.
-        std::vector<double> vals = std::move(lp.values);
-        for (VarId v : sh.intVars)
-            vals[v] = std::round(vals[v]);
-        const double obj = sh.model.objective().evaluate(vals);
-        const double inc = sh.incumbent.load(std::memory_order_acquire);
-        if (obj < inc && sh.model.isFeasible(vals, 1e-5) &&
-            sh.offerIncumbent(std::move(vals), obj))
-            ++wc.incumbentUpdates;
-        return false;
-    }
-
-    const double x = lp.values[branch_var];
-    const double floor_x = std::floor(x);
-
-    Node down = node;
-    down.isRoot = false;
-    down.hi[branch_var] = floor_x;
-    down.parentBound = lp.objective;
-    Node up = std::move(node);
-    up.isRoot = false;
-    up.lo[branch_var] = floor_x + 1.0;
-    up.parentBound = lp.objective;
-
-    // Keep the side nearer the fractional value for this worker's
-    // dive (the serial DFS explores it first); share the other side.
-    Node shared;
-    if (x - floor_x > 0.5) {
-        *dive = std::move(up);
-        shared = std::move(down);
-    } else {
-        *dive = std::move(down);
-        shared = std::move(up);
-    }
-    {
-        std::lock_guard<std::mutex> lk(sh.mu);
-        sh.deque.push_back(std::move(shared));
-    }
-    sh.cv.notify_one();
-    return true;
-}
-
-/**
- * One search worker: steal a node from the front of the shared deque,
- * then dive depth-first down its subtree (expandNode hands back one
- * child per branch, queueing the other), until the tree drains, a
- * limit fires, or stop is requested.
- */
-void
-searchLoop(SharedSearch &sh, WorkerCounters &wc)
-{
-    LpWorkspace ws; // per-worker scratch, reused across node LPs
-    std::unique_lock<std::mutex> lk(sh.mu);
-    for (;;) {
-        if (sh.stop.load(std::memory_order_relaxed))
-            return;
-        if (sh.deque.empty()) {
-            if (sh.active == 0)
-                return; // tree drained
-            sh.cv.wait(lk);
-            continue;
-        }
-
-        Node node = std::move(sh.deque.front());
-        sh.deque.pop_front();
-        ++sh.active;
-        lk.unlock();
-
-        while (!sh.stop.load(std::memory_order_relaxed)) {
-            if (!sh.reserveNode())
-                break;
-            ++wc.nodes;
-            Node next;
-            if (!expandNode(sh, std::move(node), ws, wc, &next))
-                break;
-            node = std::move(next);
-        }
-
-        lk.lock();
-        --sh.active;
-        if (sh.active == 0 && sh.deque.empty())
-            sh.cv.notify_all(); // wake sleepers so they can exit
-    }
-}
-
-void
-searchWorker(SharedSearch &sh)
-{
-    obs::TraceSpan span("ilp", "ilp.worker");
-    WorkerCounters wc;
-    searchLoop(sh, wc);
-    sh.lpSolves.fetch_add(wc.lpSolves, std::memory_order_relaxed);
-    sh.lpIterations.fetch_add(wc.lpIterations, std::memory_order_relaxed);
-    sh.incumbentUpdates.fetch_add(wc.incumbentUpdates,
-                                  std::memory_order_relaxed);
-    span.arg("nodes", wc.nodes)
-        .arg("lp_solves", wc.lpSolves)
-        .arg("lp_iterations", wc.lpIterations)
-        .arg("incumbent_updates", wc.incumbentUpdates);
-}
-
 } // namespace
 
 void
@@ -364,15 +75,8 @@ BranchBoundSolver::solve(const Model &model,
     // The node LPs poll the same token the node loop does, so a
     // cancelled request unwinds from inside a pivot loop too.
     options_.lp.ctx = options_.ctx;
-    int threads = options_.numThreads;
-    if (threads <= 0)
-        threads = ThreadPool::defaultPool().size();
-    threads = std::max(1, threads);
-    Solution solution = threads == 1
-                            ? solveSerial(model, warmStart)
-                            : solveParallel(model, warmStart, threads);
+    Solution solution = search(model, warmStart);
     span.arg("vars", static_cast<std::int64_t>(model.numVars()))
-        .arg("threads", stats_.threadsUsed)
         .arg("nodes", stats_.nodesExplored)
         .arg("lp_solves", stats_.lpSolves)
         .arg("lp_iterations", stats_.lpIterations)
@@ -383,8 +87,8 @@ BranchBoundSolver::solve(const Model &model,
 }
 
 Solution
-BranchBoundSolver::solveSerial(const Model &model,
-                               const std::vector<double> &warmStart)
+BranchBoundSolver::search(const Model &model,
+                          const std::vector<double> &warmStart)
 {
     stats_ = SolverStats{};
     const double t_start = nowSeconds();
@@ -524,61 +228,6 @@ BranchBoundSolver::solveSerial(const Model &model,
         stats_.provenOptimal = true;
     } else if (best.status == SolveStatus::LimitReached &&
                exhausted_cleanly) {
-        best.status = SolveStatus::Infeasible;
-    }
-    return best;
-}
-
-Solution
-BranchBoundSolver::solveParallel(const Model &model,
-                                 const std::vector<double> &warmStart,
-                                 int threads)
-{
-    stats_ = SolverStats{};
-    const double t_start = nowSeconds();
-    const std::vector<VarId> int_vars = model.integerVars();
-
-    SharedSearch sh(model, options_, int_vars);
-    sh.tStart = t_start;
-    sh.best.status = SolveStatus::LimitReached;
-
-    if (!warmStart.empty() && model.isFeasible(warmStart, options_.intTol)) {
-        sh.offerIncumbent(warmStart,
-                          model.objective().evaluate(warmStart));
-    }
-    sh.deque.push_back(makeRoot(model));
-
-    // The caller is worker 0; the rest run as pool tasks. Workers
-    // that find the pool saturated are executed by TaskGroup::wait's
-    // helping loop, so the search completes on any pool size.
-    ThreadPool &pool = ThreadPool::defaultPool();
-    TaskGroup group(pool);
-    for (int w = 1; w < threads; ++w)
-        group.run([&sh] { searchWorker(sh); });
-    searchWorker(sh);
-    group.wait();
-
-    stats_.nodesExplored =
-        sh.nodesExplored.load(std::memory_order_relaxed);
-    stats_.lpSolves = sh.lpSolves.load(std::memory_order_relaxed);
-    stats_.lpIterations =
-        sh.lpIterations.load(std::memory_order_relaxed);
-    stats_.incumbentUpdates =
-        sh.incumbentUpdates.load(std::memory_order_relaxed);
-    stats_.interrupted = sh.interrupted.load(std::memory_order_relaxed);
-    stats_.wallSeconds = nowSeconds() - t_start;
-    stats_.threadsUsed = threads;
-
-    Solution best = std::move(sh.best);
-    if (sh.rootUnbounded.load(std::memory_order_relaxed)) {
-        best.status = SolveStatus::Unbounded;
-        return best;
-    }
-    const bool cleanly = sh.cleanly.load(std::memory_order_relaxed);
-    if (best.status == SolveStatus::Feasible && cleanly) {
-        best.status = SolveStatus::Optimal;
-        stats_.provenOptimal = true;
-    } else if (best.status == SolveStatus::LimitReached && cleanly) {
         best.status = SolveStatus::Infeasible;
     }
     return best;

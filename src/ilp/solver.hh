@@ -34,20 +34,10 @@ struct SolverOptions
     /** Relative optimality gap at which to stop early. */
     double relativeGap = 1e-9;
     /**
-     * Worker threads for the branch-and-bound search. 0 = size of
-     * ThreadPool::defaultPool() (hardware concurrency, overridable
-     * via TAPACS_THREADS); 1 = the serial solver with today's exact
-     * depth-first traversal order, which is what reproducibility
-     * tests pin. With more than one thread the search provably
-     * reaches the same *optimal objective*, but may return a
-     * different tied-optimal assignment depending on timing.
-     */
-    int numThreads = 0;
-    /**
-     * Deadline/cancellation token. Polled once per node expansion (in
-     * every worker) and inside each node's simplex loop; when it fires
-     * the search drains cooperatively and returns the best incumbent
-     * found so far, exactly like hitting maxNodes/timeLimitSeconds.
+     * Deadline/cancellation token. Polled once per node expansion and
+     * inside each node's simplex loop; when it fires the search stops
+     * and returns the best incumbent found so far, exactly like
+     * hitting maxNodes/timeLimitSeconds.
      * SolverStats::interrupted records that it fired. Default: never.
      */
     Context ctx;
@@ -71,7 +61,9 @@ struct SolverStats
     /** True when SolverOptions::ctx fired (deadline or cancellation)
      *  and the search unwound early with its best incumbent. */
     bool interrupted = false;
-    /** Worker threads the search actually used. */
+    /** Worker threads behind these stats: always 1 for one solve;
+     *  callers that fan solves out over a pool (the L2 device loop)
+     *  record their width here. */
     int threadsUsed = 1;
 
     /**
@@ -87,15 +79,8 @@ struct SolverStats
 
 /**
  * Exact MILP solver: LP-relaxation branch-and-bound with
- * most-fractional branching.
- *
- * Serial mode (numThreads == 1) explores depth-first in a fixed
- * order. Parallel mode runs options.numThreads workers off the
- * default thread pool: pending nodes live in one mutex-guarded deque
- * (workers steal from the front, push children to the back), the
- * incumbent objective is an atomic updated by compare-exchange so
- * every worker prunes against the latest bound, and per-worker stats
- * are merged when the search drains.
+ * most-fractional branching, explored depth-first in a fixed order
+ * on the calling thread, so a node-bounded solve is deterministic.
  */
 class BranchBoundSolver
 {
@@ -117,11 +102,8 @@ class BranchBoundSolver
     const SolverStats &stats() const { return stats_; }
 
   private:
-    Solution solveSerial(const Model &model,
-                         const std::vector<double> &warmStart);
-    Solution solveParallel(const Model &model,
-                           const std::vector<double> &warmStart,
-                           int threads);
+    Solution search(const Model &model,
+                    const std::vector<double> &warmStart);
 
     SolverOptions options_;
     SolverStats stats_;

@@ -67,18 +67,6 @@ Cluster::transferTime(DeviceId a, DeviceId b, double bytes) const
            hostLink_.transferTime(bytes);
 }
 
-Seconds
-Cluster::deliveryLookahead(DeviceId a, DeviceId b) const
-{
-    if (a == b)
-        return 0.0;
-    if (sameNode(a, b)) {
-        const int hops = nodeTopology_.dist(localIndex(a), localIndex(b));
-        return hops * intraLink_.lookahead();
-    }
-    return 2.0 * hostLink_.lookahead() + interNodeLink_.lookahead();
-}
-
 BytesPerSecond
 Cluster::totalMemoryBandwidth() const
 {

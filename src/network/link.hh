@@ -52,16 +52,6 @@ class LinkModel
     /** One-way latency of a minimal message. */
     Seconds baseLatency() const { return baseLatency_; }
 
-    /**
-     * Conservative lower bound on the latency any transfer pays on
-     * this link: transferTime(b) >= lookahead() for every b >= 0, and
-     * the fault machinery only ever slows a link down (bandwidth
-     * factors are clamped to (0, 1], jitter and backoff are
-     * additive). This is the per-link lookahead a conservative
-     * parallel discrete-event simulation may safely advance by.
-     */
-    Seconds lookahead() const { return baseLatency_; }
-
     /** Packet size used by the streaming protocol. */
     Bytes packetBytes() const { return packetBytes_; }
     void setPacketBytes(Bytes b) { packetBytes_ = b; }

@@ -28,9 +28,6 @@
  *       simulate=0|1   also simulate the compiled design and report
  *                      its makespan (default 0); the sim honors the
  *                      request deadline
- *       sim_engine=serial|parallel
- *                      event-loop engine for simulate=1 (default
- *                      serial; both produce identical results)
  *       solver=exact|multilevel
  *                      level-1 floorplanning engine (default exact;
  *                      multilevel is the V-cycle hypergraph
@@ -101,9 +98,6 @@ struct Request
     double deadlineMs = -1.0;
     /** Also simulate the compiled design (simulate=1). */
     bool simulate = false;
-    /** Engine for that simulation ("serial" | "parallel"; empty =
-     *  serial). */
-    std::string simEngine;
     /** Level-1 floorplanning engine (solver=exact|multilevel). */
     L1Backend solver = L1Backend::Exact;
     /** Plan logic replication in the level-1 solve (replicate=1). */

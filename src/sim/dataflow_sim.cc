@@ -1,29 +1,12 @@
 #include "sim/dataflow_sim.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/engine.hh"
 
 namespace tapacs::sim
 {
-
-const char *
-toString(SimEngine engine)
-{
-    switch (engine) {
-    case SimEngine::Serial:
-        return "serial";
-    case SimEngine::Parallel:
-        return "parallel";
-    }
-    return "?";
-}
 
 double
 SimResult::deviceUtilization(DeviceId d) const
@@ -34,41 +17,6 @@ SimResult::deviceUtilization(DeviceId d) const
         return 0.0;
     return deviceComputeBusy[d] / makespan / deviceTaskCount[d];
 }
-
-namespace
-{
-
-/** Resolve the engine to run: the TAPACS_SIM_ENGINE environment
- *  variable overrides the option, then the parallel engine falls
- *  back to serial whenever it cannot help (one device = one LP) or
- *  cannot be conservative (a cross-device edge with no positive
- *  latency lower bound leaves nothing to advance windows by). */
-SimEngine
-resolveEngine(const SimOptions &options,
-              const detail::SimSetup &setup)
-{
-    SimEngine engine = options.engine;
-    if (const char *env = std::getenv("TAPACS_SIM_ENGINE")) {
-        if (std::strcmp(env, "serial") == 0) {
-            engine = SimEngine::Serial;
-        } else if (std::strcmp(env, "parallel") == 0) {
-            engine = SimEngine::Parallel;
-        } else {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                warn("TAPACS_SIM_ENGINE='%s' is not "
-                     "\"serial\" | \"parallel\"; ignoring", env);
-            }
-        }
-    }
-    if (engine == SimEngine::Parallel &&
-        (setup.numDevices < 2 ||
-         (setup.anyCross && !(setup.minLookahead > 0.0))))
-        engine = SimEngine::Serial;
-    return engine;
-}
-
-} // namespace
 
 StatusOr<SimResult>
 trySimulate(const TaskGraph &g, const Cluster &cluster,
@@ -88,48 +36,17 @@ trySimulate(const TaskGraph &g, const Cluster &cluster,
     if (setup.injector && options.exportMetrics)
         obs::MetricsRegistry::global().resetPrefix("tapacs.net.");
 
-    const SimEngine engine = resolveEngine(options, setup);
     detail::RunState run;
     detail::initRunState(setup, &run);
-    detail::ParStats par;
-    if (engine == SimEngine::Parallel) {
-        const int threads = options.numThreads > 0
-                                ? options.numThreads
-                                : ThreadPool::defaultPool().size();
-        par = detail::runParallel(setup, run, threads);
-    } else {
-        detail::runSerial(setup, run);
-    }
+    detail::runEventLoop(setup, run);
 
     SimResult out;
     detail::finalizeResult(setup, run, &out);
 
-    if (options.exportMetrics) {
+    if (options.exportMetrics)
         detail::exportSimMetrics(setup, run);
-        if (engine == SimEngine::Parallel) {
-            // After exportSimMetrics' resetPrefix so these survive;
-            // intentionally not in SimResult::stats, which stays
-            // engine-independent (bit-identical across engines).
-            obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-            reg.gauge("tapacs.sim.par.windows")
-                .set(static_cast<double>(par.windows));
-            reg.gauge("tapacs.sim.par.events")
-                .set(static_cast<double>(par.events));
-            reg.gauge("tapacs.sim.par.null_advances")
-                .set(static_cast<double>(par.nullAdvances));
-            reg.gauge("tapacs.sim.par.coalesced_tokens")
-                .set(static_cast<double>(par.coalescedTokens));
-            reg.gauge("tapacs.sim.par.cross_commits")
-                .set(static_cast<double>(par.crossCommits));
-            reg.gauge("tapacs.sim.par.steals")
-                .set(static_cast<double>(par.steals));
-            reg.gauge("tapacs.sim.par.threads")
-                .set(static_cast<double>(par.threads));
-        }
-    }
 
     sim_span
-        .arg("engine", std::string(toString(engine)))
         .arg("events",
              static_cast<std::int64_t>(out.stats.get("events")))
         .arg("makespan_seconds", out.makespan)

@@ -41,41 +41,14 @@
 namespace tapacs::sim
 {
 
-/**
- * Which event loop executes the run. Both engines produce
- * bit-identical SimResults; Parallel decomposes the design into one
- * logical process per FPGA device and advances them concurrently
- * inside conservative lookahead windows derived from the link
- * latency models (Cluster::deliveryLookahead).
- */
-enum class SimEngine
-{
-    Serial,
-    Parallel,
-};
-
-const char *toString(SimEngine engine);
-
 /** Simulator options. */
 struct SimOptions
 {
     /** Cap on processed events (guards against model bugs). */
     std::uint64_t maxEvents = 50'000'000;
     /**
-     * Event-loop engine. The TAPACS_SIM_ENGINE environment variable
-     * ("serial" | "parallel") overrides this field when set, so any
-     * harness can be switched without a rebuild. The parallel engine
-     * falls back to serial when it cannot help or cannot be safe:
-     * single-device designs, and clusters whose links advertise no
-     * positive lookahead.
-     */
-    SimEngine engine = SimEngine::Serial;
-    /** Worker threads for the parallel engine: 0 = share the process
-     *  pool at its size, >0 = exactly that many (1 = inline). */
-    int numThreads = 0;
-    /**
-     * Deadline/cancellation context, polled inside both engines'
-     * event loops every few thousand events. An expired or cancelled
+     * Deadline/cancellation context, polled inside the event loop
+     * every few thousand events. An expired or cancelled
      * context stops the run and surfaces DeadlineExceeded/Cancelled
      * in SimResult::status together with the partial stats.
      */

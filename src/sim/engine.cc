@@ -1,5 +1,6 @@
 #include "sim/engine.hh"
 
+#include <algorithm>
 #include <queue>
 
 #include "common/logging.hh"
@@ -83,8 +84,6 @@ buildSetup(const TaskGraph &g, const Cluster &cluster,
     }
 
     setup->g = &g;
-    setup->cluster = &cluster;
-    setup->partition = &partition;
     setup->binding = &binding;
     setup->options = &options;
     setup->n = n;
@@ -99,7 +98,6 @@ buildSetup(const TaskGraph &g, const Cluster &cluster,
     setup->computeDur.assign(n, 0.0);
     setup->blocksOf.assign(n, 1);
     setup->deviceOf = partition.deviceOf;
-    setup->deviceVertices.assign(numDevices, {});
     for (VertexId v = 0; v < n; ++v) {
         const WorkProfile &w = g.vertex(v).work;
         const double blocks = w.numBlocks;
@@ -120,7 +118,6 @@ buildSetup(const TaskGraph &g, const Cluster &cluster,
             setup->writePerChannel[v] =
                 w.memWriteBytes / blocks / w.memChannels / bw;
         }
-        setup->deviceVertices[partition.deviceOf[v]].push_back(v);
     }
 
     // CSR adjacency (kills the per-firing inEdges()/outEdges() walks
@@ -142,10 +139,9 @@ buildSetup(const TaskGraph &g, const Cluster &cluster,
             setup->outEdge.push_back(e);
     }
 
-    // Per-edge constants and lookahead.
+    // Per-edge constants.
     setup->edges.assign(numEdges, EdgeConst{});
     setup->initialTokens.assign(numEdges, 0);
-    setup->lpLookahead.assign(numDevices, kInfTime);
     for (EdgeId e = 0; e < numEdges; ++e) {
         const Edge &edge = g.edge(e);
         EdgeConst &ec = setup->edges[e];
@@ -170,8 +166,6 @@ buildSetup(const TaskGraph &g, const Cluster &cluster,
             ec.localLatency = cycles / deviceFmax[ec.sdev];
             continue;
         }
-        ec.minLatency =
-            cluster.deliveryLookahead(ec.sdev, ec.ddev);
         if (cluster.sameNode(ec.sdev, ec.ddev)) {
             ec.kind = EdgeConst::IntraNode;
             const LinkModel &link = cluster.intraLink();
@@ -183,10 +177,6 @@ buildSetup(const TaskGraph &g, const Cluster &cluster,
             ec.flight =
                 hops * link.baseLatency() + (hops - 1) * ec.occ;
             ec.port = ec.sdev * numDevices + ec.ddev;
-            // The exact flight time is itself a lower bound on the
-            // arrival delay (transport attempts only add occupancy,
-            // waits and jitter on top of it).
-            ec.minLatency = std::max(ec.minLatency, ec.flight);
         } else {
             // dev -> host (PCIe), host -> host (MPI), host -> dev.
             // The hand-off is staged through host memory buffers, so
@@ -202,15 +192,7 @@ buildSetup(const TaskGraph &g, const Cluster &cluster,
                      host.transferTime(ec.bytesPerToken);
             ec.port = cluster.nodeOf(ec.sdev) * setup->numNodes +
                       cluster.nodeOf(ec.ddev);
-            // Bandwidth degradation is clamped to slowdowns, so the
-            // healthy occupancy lower-bounds every faulty attempt.
-            ec.minLatency = std::max(ec.minLatency, ec.occ);
         }
-        setup->anyCross = true;
-        setup->lpLookahead[ec.ddev] =
-            std::min(setup->lpLookahead[ec.ddev], ec.minLatency);
-        setup->minLookahead =
-            std::min(setup->minLookahead, ec.minLatency);
     }
 
     if (options.faults != nullptr && !options.faults->empty()) {
@@ -248,49 +230,209 @@ initRunState(const SimSetup &S, RunState *R)
 namespace
 {
 
+/** Total order on token arrivals: time, then edge id, then the
+ *  per-edge emission ordinal. */
+struct EventKey
+{
+    Seconds time = 0.0;
+    EdgeId edge = -1;
+    std::uint64_t seq = 0;
+};
+
+inline bool
+operator<(const EventKey &a, const EventKey &b)
+{
+    if (a.time != b.time)
+        return a.time < b.time;
+    if (a.edge != b.edge)
+        return a.edge < b.edge;
+    return a.seq < b.seq;
+}
+
+inline bool
+operator>(const EventKey &a, const EventKey &b)
+{
+    return b < a;
+}
+
 using MinHeap = std::priority_queue<EventKey, std::vector<EventKey>,
                                     std::greater<EventKey>>;
 
-/** The serial engine's sink: one global heap, cross-node emissions
- *  committed inline (the loop is already at their order point). */
-struct SerialSink
+/** Book one delivered token on edge @p e into the dst's counters. */
+inline void
+applyArrival(const SimSetup &S, RunState &R, EdgeId e)
 {
-    const SimSetup &S;
-    RunState &R;
-    MinHeap &heap;
-
-    void
-    deliver(EdgeId e, Seconds arrival, std::uint64_t seq)
-    {
-        heap.push({arrival, e, seq});
+    const EdgeConst &ec = S.edges[e];
+    if (ec.credit > 0) {
+        R.tokens[e] += ec.credit;
+    } else if (++R.rawArrivals[e] % (-ec.credit) == 0) {
+        // need-|credit| edge: every |credit|-th raw arrival enables
+        // one consumer firing.
+        ++R.tokens[e];
     }
+}
 
-    void
-    crossNode(const CrossRec &rec)
-    {
-        processCrossNode(S, R, rec,
-                         [this](EdgeId e, Seconds arrival,
-                                std::uint64_t seq) {
-                             heap.push({arrival, e, seq});
-                         });
+/**
+ * Send one cross-node emission on edge @p e, written back at
+ * @p writeDone: serialize on the node-pair pipe (through the reliable
+ * transport when faults are injected) and, if the token survives,
+ * push its arrival onto @p heap.
+ */
+inline void
+sendCrossNode(const SimSetup &S, RunState &R, EdgeId e,
+              Seconds writeDone, MinHeap &heap)
+{
+    const EdgeConst &ec = S.edges[e];
+    Server &pipe = R.nodeLink[ec.port];
+    Seconds arrival;
+    if (R.crossTransport) {
+        EdgeCommStats &st = R.edgeComm[e];
+        const std::uint64_t mid =
+            static_cast<std::uint64_t>(e) << 32 |
+            static_cast<std::uint32_t>(st.messages);
+        ++st.messages;
+        const TransferOutcome tr = R.crossTransport->send(
+            ec.sdev, ec.ddev, mid, writeDone, ec.occ, 0.0,
+            [&pipe](Seconds s, Seconds d) { return pipe.acquire(s, d); });
+        st.retries += tr.retries;
+        st.timeouts += tr.timeouts;
+        st.backoffSeconds += tr.backoffSeconds;
+        st.linkDownWaitSeconds += tr.linkDownWaitSeconds;
+        if (!tr.delivered) {
+            ++st.undelivered;
+            return;
+        }
+        arrival = tr.finishTime;
+    } else {
+        arrival = pipe.acquire(writeDone, ec.occ);
     }
-};
+    ++R.delivered[e];
+    R.crossMakespan = std::max(R.crossMakespan, arrival);
+    heap.push({arrival, e, R.emitSeq[e]++});
+}
+
+/**
+ * Fire vertex @p v as many times as its input tokens allow, starting
+ * at @p now — the simulator's per-firing semantics (read -> compute
+ * -> write -> emit). Every delivered token's arrival is pushed onto
+ * @p heap.
+ */
+inline void
+fireVertex(const SimSetup &S, RunState &R, Shard &sh, VertexId v,
+           Seconds now, MinHeap &heap)
+{
+    const DeviceId dev = S.deviceOf[v];
+
+    // A killed device fires nothing from its death time onward;
+    // blocks already in flight (started earlier) complete.
+    if (S.injector && S.injector->deviceDead(dev, now))
+        return;
+
+    const int numBlocks = S.blocksOf[v];
+    const std::vector<int> &channels = S.binding->channelsOf[v];
+    while (R.fired[v] < numBlocks) {
+        // All inputs must hold a token.
+        bool ready = true;
+        for (int i = S.inOff[v]; i < S.inOff[v + 1]; ++i) {
+            if (R.tokens[S.inEdge[i]] == 0) {
+                ready = false;
+                break;
+            }
+        }
+        if (!ready)
+            break;
+        for (int i = S.inOff[v]; i < S.inOff[v + 1]; ++i)
+            --R.tokens[S.inEdge[i]];
+        ++R.fired[v];
+
+        // Read from external memory across bound channels.
+        Seconds read_done = now;
+        if (S.readPerChannel[v] > 0.0) {
+            for (int c : channels) {
+                read_done = std::max(
+                    read_done,
+                    sh.hbm[c].acquire(now, S.readPerChannel[v]));
+            }
+        }
+        // Compute on the task datapath.
+        const Seconds compute_done =
+            R.datapath[v].acquire(read_done, S.computeDur[v]);
+        // Write back.
+        Seconds write_done = compute_done;
+        if (S.writePerChannel[v] > 0.0) {
+            for (int c : channels) {
+                write_done = std::max(
+                    write_done, sh.hbm[c].acquire(
+                                    compute_done, S.writePerChannel[v]));
+            }
+        }
+        R.taskFinish[v] = std::max(R.taskFinish[v], write_done);
+        sh.makespan = std::max(sh.makespan, write_done);
+        if (S.options->recordTimeline) {
+            sh.timeline.push_back({v, R.fired[v] - 1, now, read_done,
+                                   compute_done - S.computeDur[v],
+                                   compute_done, write_done});
+        }
+
+        // Emit one token per out edge.
+        for (int oi = S.outOff[v]; oi < S.outOff[v + 1]; ++oi) {
+            const EdgeId e = S.outEdge[oi];
+            const EdgeConst &ec = S.edges[e];
+            if (ec.kind == EdgeConst::Local) {
+                const Seconds arrival = write_done + ec.localLatency;
+                sh.makespan = std::max(sh.makespan, arrival);
+                ++R.delivered[e];
+                heap.push({arrival, e, R.emitSeq[e]++});
+            } else if (ec.kind == EdgeConst::IntraNode) {
+                Server &port = R.netPort[ec.port];
+                Seconds arrival;
+                if (sh.transport) {
+                    EdgeCommStats &st = R.edgeComm[e];
+                    const std::uint64_t mid =
+                        static_cast<std::uint64_t>(e) << 32 |
+                        static_cast<std::uint32_t>(st.messages);
+                    ++st.messages;
+                    const TransferOutcome tr = sh.transport->send(
+                        ec.sdev, ec.ddev, mid, write_done, ec.occ,
+                        ec.flight, [&port](Seconds s, Seconds d) {
+                            return port.acquire(s, d);
+                        });
+                    st.retries += tr.retries;
+                    st.timeouts += tr.timeouts;
+                    st.backoffSeconds += tr.backoffSeconds;
+                    st.linkDownWaitSeconds += tr.linkDownWaitSeconds;
+                    if (!tr.delivered) {
+                        // The token dies with the link; only the
+                        // FIFOs crossing it stall.
+                        ++st.undelivered;
+                        continue;
+                    }
+                    arrival = tr.finishTime;
+                } else {
+                    arrival = port.acquire(write_done, ec.occ) +
+                              ec.flight;
+                }
+                sh.makespan = std::max(sh.makespan, arrival);
+                ++R.delivered[e];
+                heap.push({arrival, e, R.emitSeq[e]++});
+            } else {
+                sendCrossNode(S, R, e, write_done, heap);
+            }
+        }
+    }
+}
 
 } // namespace
 
 void
-runSerial(const SimSetup &S, RunState &R)
+runEventLoop(const SimSetup &S, RunState &R)
 {
     MinHeap heap;
-    SerialSink sink{S, R, heap};
 
     // Kick off the sources (and anything with zero inputs or initial
-    // tokens). edge = -1 sorts these before any real time-0 arrival.
-    for (VertexId v = 0; v < S.n; ++v) {
-        fireVertex(S, R, R.shards[S.deviceOf[v]], v, 0.0,
-                   EventKey{0.0, -1, static_cast<std::uint64_t>(v)},
-                   sink);
-    }
+    // tokens) before any real time-0 arrival.
+    for (VertexId v = 0; v < S.n; ++v)
+        fireVertex(S, R, R.shards[S.deviceOf[v]], v, 0.0, heap);
 
     const Context &ctx = S.options->ctx;
     std::uint64_t processed = 0;
@@ -312,7 +454,7 @@ runSerial(const SimSetup &S, RunState &R)
         Shard &sh = R.shards[S.deviceOf[dst]];
         ++sh.processed;
         applyArrival(S, R, ev.edge);
-        fireVertex(S, R, sh, dst, ev.time, ev, sink);
+        fireVertex(S, R, sh, dst, ev.time, heap);
     }
 }
 

@@ -1,37 +1,20 @@
 /**
  * @file
- * Internal machinery shared by the serial and parallel simulation
- * engines (dataflow_sim.cc front-end, engine.cc serial loop, lp.cc
- * parallel loop). Not installed; include only from src/sim.
+ * Internal machinery of the simulator (dataflow_sim.cc front-end,
+ * engine.cc event loop). Not installed; include only from src/sim.
  *
- * The two engines execute the *same* per-event code — the
- * fireVertex() template below is the single definition of what one
- * token arrival does — and differ only in how events are ordered and
- * which thread runs them. Bit-identical results across engines fall
- * out of three invariants:
- *
- *  1. Every piece of mutable state has a single owner. A device owns
- *     its tasks' datapath/HBM servers, its vertices' firing counters,
- *     the token counters of edges *into* its vertices, and the
- *     netPort row of transfers *out* of it. The node-pair pipes
- *     (nodeLink) and the cross-node transport are owned by the
- *     cross-node commit phase, which both engines execute in the same
- *     global order.
- *  2. Events are totally ordered by (time, edge, per-edge seq), and
- *     each owner processes its events in exactly that order. The
- *     parallel engine's conservative windows only ever *defer* work,
- *     never reorder it.
- *  3. All floating-point reductions (makespan, busy sums, byte
- *     totals) happen in finalizeResult() in a fixed iteration order,
- *     never in arrival order.
+ * A run is validated and precomputed once into an immutable SimSetup,
+ * then executed over a mutable RunState by the serial event loop.
+ * Results are deterministic because events are totally ordered by
+ * (time, edge, per-edge seq) and every floating-point reduction
+ * (makespan, busy sums, byte totals) happens in finalizeResult() in a
+ * fixed iteration order, never in arrival order.
  */
 
 #ifndef TAPACS_SIM_ENGINE_HH
 #define TAPACS_SIM_ENGINE_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -40,37 +23,6 @@
 
 namespace tapacs::sim::detail
 {
-
-constexpr Seconds kInfTime = std::numeric_limits<double>::infinity();
-
-/**
- * Total order on token arrivals: time, then edge id, then the
- * per-edge emission ordinal. Initial firings use edge = -1 so they
- * sort before any real time-0 arrival, matching the serial engine's
- * "fire all sources first" kick-off.
- */
-struct EventKey
-{
-    Seconds time = 0.0;
-    EdgeId edge = -1;
-    std::uint64_t seq = 0;
-};
-
-inline bool
-operator<(const EventKey &a, const EventKey &b)
-{
-    if (a.time != b.time)
-        return a.time < b.time;
-    if (a.edge != b.edge)
-        return a.edge < b.edge;
-    return a.seq < b.seq;
-}
-
-inline bool
-operator>(const EventKey &a, const EventKey &b)
-{
-    return b < a;
-}
 
 /** Per-edge constants precomputed once in buildSetup(). */
 struct EdgeConst
@@ -100,21 +52,16 @@ struct EdgeConst
     /** Flattened server index: sdev*D+ddev (IntraNode netPort) or
      *  snode*N+dnode (CrossNode nodeLink). */
     int port = -1;
-    /** Lower bound on emission-to-arrival latency (cross-device
-     *  kinds); the lookahead this edge contributes to its dst LP. */
-    Seconds minLatency = 0.0;
 };
 
 /**
  * Validated, immutable precomputation for one simulate() call:
- * adjacency in CSR form, per-vertex durations, per-edge constants,
- * per-device lookahead. Borrowed pointers must outlive the run.
+ * adjacency in CSR form, per-vertex durations, per-edge constants.
+ * Borrowed pointers must outlive the run.
  */
 struct SimSetup
 {
     const TaskGraph *g = nullptr;
-    const Cluster *cluster = nullptr;
-    const DevicePartition *partition = nullptr;
     const HbmBinding *binding = nullptr;
     const SimOptions *options = nullptr;
 
@@ -135,16 +82,8 @@ struct SimSetup
 
     std::vector<EdgeConst> edges;
     std::vector<int> initialTokens; ///< per edge, consumer-firing units
-    std::vector<std::vector<VertexId>> deviceVertices;
 
-    /** Per-device lookahead: min minLatency over incoming cross-LP
-     *  edges; +inf when nothing crosses into the device. */
-    std::vector<Seconds> lpLookahead;
-    /** Min over all cross-LP edges; +inf when none exist. */
-    Seconds minLookahead = kInfTime;
-    bool anyCross = false;
-
-    /** Compiled fault plan (engines borrow the pointer). */
+    /** Compiled fault plan (the run borrows the pointer). */
     std::optional<FaultInjector> injector;
     std::vector<DeviceId> deadDevices;
 };
@@ -161,8 +100,8 @@ Status buildSetup(const TaskGraph &g, const Cluster &cluster,
                   const std::vector<Hertz> &deviceFmax,
                   const SimOptions &options, SimSetup *setup);
 
-/** Mutable per-device state: everything below is owned by exactly
- *  one logical process while an engine runs. */
+/** Mutable per-device state: a device's HBM channels, its outgoing
+ *  transport, and what its tasks have produced so far. */
 struct Shard
 {
     DeviceId dev = -1;
@@ -177,52 +116,27 @@ struct Shard
     std::vector<FiringRecord> timeline;
 };
 
-/** One deferred cross-node emission, committed in global order. */
-struct CrossRec
-{
-    EventKey trig;      ///< event whose firing cascade emitted it
-    int fire = 0;       ///< firing index within that fireVertex call
-    int slot = 0;       ///< out-edge slot within that firing
-    EdgeId e = -1;
-    Seconds writeDone = 0.0;
-};
-
-inline bool
-operator<(const CrossRec &a, const CrossRec &b)
-{
-    if (a.trig < b.trig)
-        return true;
-    if (b.trig < a.trig)
-        return false;
-    if (a.fire != b.fire)
-        return a.fire < b.fire;
-    return a.slot < b.slot;
-}
-
-/** Mutable run state shared by both engines. */
+/** Mutable state of one run. */
 struct RunState
 {
     std::vector<Shard> shards;
 
-    // Vertex-indexed (owner: the vertex's device).
+    // Vertex-indexed.
     std::vector<Server> datapath;
     std::vector<int> fired;
     std::vector<Seconds> taskFinish;
 
-    // Edge-indexed. tokens/rawArrivals are owned by the dst device;
-    // emitSeq/delivered/edgeComm by the src device for Local/
-    // IntraNode edges and by the cross-node commit phase for
-    // CrossNode edges.
+    // Edge-indexed.
     std::vector<int> tokens, rawArrivals;
     std::vector<std::uint64_t> emitSeq;
     std::vector<std::int64_t> delivered;
     std::vector<EdgeCommStats> edgeComm;
 
-    /** Dense D*D device-pair ports; row d owned by device d. */
+    /** Dense D*D device-pair ports. */
     std::vector<Server> netPort;
-    /** Dense N*N node-pair pipes; cross-node commit phase only. */
+    /** Dense N*N node-pair pipes. */
     std::vector<Server> nodeLink;
-    /** Transport for cross-node messages (commit phase only). */
+    /** Transport for cross-node messages. */
     std::optional<ReliableTransport> crossTransport;
     Seconds crossMakespan = 0.0;
 
@@ -233,207 +147,9 @@ struct RunState
 
 void initRunState(const SimSetup &S, RunState *R);
 
-/** Book one delivered token on edge @p e into the dst's counters. */
-inline void
-applyArrival(const SimSetup &S, RunState &R, EdgeId e)
-{
-    const EdgeConst &ec = S.edges[e];
-    if (ec.credit > 0) {
-        R.tokens[e] += ec.credit;
-    } else if (++R.rawArrivals[e] % (-ec.credit) == 0) {
-        // need-|credit| edge: every |credit|-th raw arrival enables
-        // one consumer firing.
-        ++R.tokens[e];
-    }
-}
-
-/**
- * Commit one deferred cross-node emission: serialize on the node-pair
- * pipe (through the reliable transport when faults are injected) and,
- * if the token survives, deliver it via @p deliver(edge, time, seq).
- * Both engines call this in the same global (trig, fire, slot) order,
- * so the pipe and per-edge message counters evolve identically.
- */
-template <class Deliver>
-inline void
-processCrossNode(const SimSetup &S, RunState &R, const CrossRec &rec,
-                 Deliver &&deliver)
-{
-    const EdgeConst &ec = S.edges[rec.e];
-    Server &pipe = R.nodeLink[ec.port];
-    Seconds arrival;
-    if (R.crossTransport) {
-        EdgeCommStats &st = R.edgeComm[rec.e];
-        const std::uint64_t mid =
-            static_cast<std::uint64_t>(rec.e) << 32 |
-            static_cast<std::uint32_t>(st.messages);
-        ++st.messages;
-        const TransferOutcome tr = R.crossTransport->send(
-            ec.sdev, ec.ddev, mid, rec.writeDone, ec.occ, 0.0,
-            [&pipe](Seconds s, Seconds d) { return pipe.acquire(s, d); });
-        st.retries += tr.retries;
-        st.timeouts += tr.timeouts;
-        st.backoffSeconds += tr.backoffSeconds;
-        st.linkDownWaitSeconds += tr.linkDownWaitSeconds;
-        if (!tr.delivered) {
-            ++st.undelivered;
-            return;
-        }
-        arrival = tr.finishTime;
-    } else {
-        arrival = pipe.acquire(rec.writeDone, ec.occ);
-    }
-    ++R.delivered[rec.e];
-    R.crossMakespan = std::max(R.crossMakespan, arrival);
-    deliver(rec.e, arrival, R.emitSeq[rec.e]++);
-}
-
-/**
- * Fire vertex @p v as many times as its input tokens allow, starting
- * at @p now — the one definition of the simulator's per-firing
- * semantics (read -> compute -> write -> emit). @p trig identifies
- * the triggering event so deferred cross-node emissions can be
- * globally ordered.
- *
- * Sink requirements:
- *   void deliver(EdgeId e, Seconds arrival, std::uint64_t seq);
- *     called for every delivered Local/IntraNode token — the serial
- *     engine pushes onto its global heap, a parallel LP pushes onto
- *     its own heap or its outbox burst for the dst LP.
- *   void crossNode(const CrossRec &rec);
- *     called for every CrossNode emission — the serial engine commits
- *     it inline (it is already at the global order point), a parallel
- *     LP defers it to the barrier's commit phase.
- */
-template <class Sink>
-inline void
-fireVertex(const SimSetup &S, RunState &R, Shard &sh, VertexId v,
-           Seconds now, const EventKey &trig, Sink &&sink)
-{
-    const DeviceId dev = S.deviceOf[v];
-
-    // A killed device fires nothing from its death time onward;
-    // blocks already in flight (started earlier) complete.
-    if (S.injector && S.injector->deviceDead(dev, now))
-        return;
-
-    const int numBlocks = S.blocksOf[v];
-    const std::vector<int> &channels = S.binding->channelsOf[v];
-    int fireIdx = 0;
-    while (R.fired[v] < numBlocks) {
-        // All inputs must hold a token.
-        bool ready = true;
-        for (int i = S.inOff[v]; i < S.inOff[v + 1]; ++i) {
-            if (R.tokens[S.inEdge[i]] == 0) {
-                ready = false;
-                break;
-            }
-        }
-        if (!ready)
-            break;
-        for (int i = S.inOff[v]; i < S.inOff[v + 1]; ++i)
-            --R.tokens[S.inEdge[i]];
-        ++R.fired[v];
-
-        // Read from external memory across bound channels.
-        Seconds read_done = now;
-        if (S.readPerChannel[v] > 0.0) {
-            for (int c : channels) {
-                read_done = std::max(
-                    read_done,
-                    sh.hbm[c].acquire(now, S.readPerChannel[v]));
-            }
-        }
-        // Compute on the task datapath.
-        const Seconds compute_done =
-            R.datapath[v].acquire(read_done, S.computeDur[v]);
-        // Write back.
-        Seconds write_done = compute_done;
-        if (S.writePerChannel[v] > 0.0) {
-            for (int c : channels) {
-                write_done = std::max(
-                    write_done, sh.hbm[c].acquire(
-                                    compute_done, S.writePerChannel[v]));
-            }
-        }
-        R.taskFinish[v] = std::max(R.taskFinish[v], write_done);
-        sh.makespan = std::max(sh.makespan, write_done);
-        if (S.options->recordTimeline) {
-            sh.timeline.push_back({v, R.fired[v] - 1, now, read_done,
-                                   compute_done - S.computeDur[v],
-                                   compute_done, write_done});
-        }
-
-        // Emit one token per out edge.
-        for (int oi = S.outOff[v]; oi < S.outOff[v + 1]; ++oi) {
-            const EdgeId e = S.outEdge[oi];
-            const EdgeConst &ec = S.edges[e];
-            if (ec.kind == EdgeConst::Local) {
-                const Seconds arrival = write_done + ec.localLatency;
-                sh.makespan = std::max(sh.makespan, arrival);
-                ++R.delivered[e];
-                sink.deliver(e, arrival, R.emitSeq[e]++);
-            } else if (ec.kind == EdgeConst::IntraNode) {
-                Server &port = R.netPort[ec.port];
-                Seconds arrival;
-                if (sh.transport) {
-                    EdgeCommStats &st = R.edgeComm[e];
-                    const std::uint64_t mid =
-                        static_cast<std::uint64_t>(e) << 32 |
-                        static_cast<std::uint32_t>(st.messages);
-                    ++st.messages;
-                    const TransferOutcome tr = sh.transport->send(
-                        ec.sdev, ec.ddev, mid, write_done, ec.occ,
-                        ec.flight, [&port](Seconds s, Seconds d) {
-                            return port.acquire(s, d);
-                        });
-                    st.retries += tr.retries;
-                    st.timeouts += tr.timeouts;
-                    st.backoffSeconds += tr.backoffSeconds;
-                    st.linkDownWaitSeconds += tr.linkDownWaitSeconds;
-                    if (!tr.delivered) {
-                        // The token dies with the link; only the
-                        // FIFOs crossing it stall.
-                        ++st.undelivered;
-                        continue;
-                    }
-                    arrival = tr.finishTime;
-                } else {
-                    arrival = port.acquire(write_done, ec.occ) +
-                              ec.flight;
-                }
-                sh.makespan = std::max(sh.makespan, arrival);
-                ++R.delivered[e];
-                sink.deliver(e, arrival, R.emitSeq[e]++);
-            } else {
-                sink.crossNode(
-                    {trig, fireIdx, oi - S.outOff[v], e, write_done});
-            }
-        }
-        ++fireIdx;
-    }
-}
-
-/** Run the serial engine to completion (or until ctx/cap aborts it,
+/** Run the event loop to completion (or until ctx/cap aborts it,
  *  recorded in R.status). */
-void runSerial(const SimSetup &S, RunState &R);
-
-/** Parallel-engine observability (exported as tapacs.sim.par.*). */
-struct ParStats
-{
-    std::uint64_t windows = 0;        ///< conservative rounds executed
-    std::uint64_t events = 0;         ///< total events popped
-    std::uint64_t nullAdvances = 0;   ///< LP skipped by its ceiling
-    std::uint64_t coalescedTokens = 0;///< tokens riding a batched burst
-    std::uint64_t crossCommits = 0;   ///< cross-node emissions committed
-    std::uint64_t steals = 0;         ///< pool steals during the run
-    int threads = 1;
-    /** Per-LP busy wall-micros (only sampled while tracing). */
-    std::vector<double> lpBusyMicros;
-};
-
-/** Run the conservative parallel engine with @p threads workers. */
-ParStats runParallel(const SimSetup &S, RunState &R, int threads);
+void runEventLoop(const SimSetup &S, RunState &R);
 
 /** Fold RunState into the caller-visible SimResult: order-fixed
  *  reductions, rate-consistency check, stats registry. */

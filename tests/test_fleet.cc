@@ -246,8 +246,7 @@ TEST(RenderRequestLine, CompileRequestRoundTrips)
     const serve::Request req = parseOneRequest(
         "request alpha workload=stencil fpgas=3 mode=tapacs "
         "topology=ring threshold=0.62 scale=3 deadline_ms=250 "
-        "solver=multilevel replicate=1 coarse_limit=48 simulate=1 "
-        "sim_engine=parallel");
+        "solver=multilevel replicate=1 coarse_limit=48 simulate=1");
     const serve::Request back =
         parseOneRequest(serve::renderRequestLine(req));
     EXPECT_EQ(back.name, req.name);
@@ -260,7 +259,6 @@ TEST(RenderRequestLine, CompileRequestRoundTrips)
     EXPECT_EQ(back.replicate, req.replicate);
     EXPECT_EQ(back.coarseLimit, req.coarseLimit);
     EXPECT_EQ(back.simulate, req.simulate);
-    EXPECT_EQ(back.simEngine, req.simEngine);
     // The rendered line is canonical: rendering the reparse is a
     // fixed point.
     EXPECT_EQ(serve::renderRequestLine(back),

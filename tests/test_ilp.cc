@@ -5,10 +5,12 @@
  * against the exhaustive oracle.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 
@@ -33,15 +35,36 @@ thread_local long t_allocs = 0;
 } // namespace
 
 // Out of line, so the compiler never sees a new/free pair it would
-// flag as mismatched.
+// flag as mismatched. Every unaligned form is replaced, so whichever
+// form allocates (std::stable_sort's buffer uses nothrow new), the
+// matching delete frees memory that came from malloc — under ASan
+// too, whose own operator new would otherwise pair with this free.
 [[gnu::noinline]] void *
-operator new(std::size_t size)
+operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
     if (t_countAllocs)
         ++t_allocs;
-    if (void *p = std::malloc(size ? size : 1))
+    return std::malloc(size ? size : 1);
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    if (void *p = operator new(size, std::nothrow))
         return p;
     throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t size)
+{
+    return operator new(size);
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return operator new(size, std::nothrow);
 }
 
 [[gnu::noinline]] void
@@ -52,6 +75,30 @@ operator delete(void *p) noexcept
 
 [[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
@@ -494,60 +541,24 @@ TEST(BranchBound, StatsPopulated)
     EXPECT_TRUE(solver.stats().provenOptimal);
 }
 
-// ---- Parallel branch-and-bound --------------------------------------
-
-/** Random binary MILP of the shape the floorplanner emits. */
-Model
-makeRandomMilp(std::uint64_t seed)
+TEST(BranchBound, UnboundedDetected)
 {
-    Rng rng(seed);
     Model m;
-    const int n = 5 + static_cast<int>(seed % 5);
-    for (int i = 0; i < n; ++i)
-        m.addBinary();
-    const int rows = 2 + static_cast<int>(seed % 3);
-    for (int r = 0; r < rows; ++r) {
-        LinExpr e;
-        for (int i = 0; i < n; ++i)
-            e.add(i, rng.uniformReal(0.0, 3.0));
-        m.addConstraint(std::move(e), Sense::LessEqual,
-                        rng.uniformReal(2.0, 8.0));
-    }
-    LinExpr obj;
-    for (int i = 0; i < n; ++i)
-        obj.add(i, rng.uniformReal(-5.0, 2.0));
-    m.setObjective(std::move(obj));
-    return m;
+    const VarId x = m.addVar(VarKind::Integer, 0.0,
+                             std::numeric_limits<double>::infinity());
+    m.addConstraint(LinExpr().add(x, 1.0), Sense::GreaterEqual, 1.0);
+    m.setObjective(LinExpr().add(x, -1.0));
+    BranchBoundSolver solver;
+    EXPECT_EQ(solver.solve(m).status, SolveStatus::Unbounded);
 }
 
-TEST(BranchBoundParallel, MatchesSerialObjectiveOnRandomMilps)
+constexpr int kAssignTasks = 6, kAssignDevs = 3;
+
+/** Cost of placing task @p t on device @p d in makeAssignmentModel. */
+double
+assignmentCost(int t, int d)
 {
-    // A parallel search may return a different tied-optimal point but
-    // must prove the same optimal objective and status as the serial
-    // exact search.
-    for (std::uint64_t seed = 0; seed < 15; ++seed) {
-        Model m = makeRandomMilp(seed);
-
-        SolverOptions serial_opt;
-        serial_opt.numThreads = 1;
-        BranchBoundSolver serial(serial_opt);
-        Solution ss = serial.solve(m);
-
-        SolverOptions par_opt;
-        par_opt.numThreads = 4;
-        BranchBoundSolver parallel(par_opt);
-        Solution ps = parallel.solve(m);
-
-        ASSERT_EQ(ss.status, ps.status) << "seed " << seed;
-        EXPECT_EQ(serial.stats().threadsUsed, 1);
-        EXPECT_EQ(parallel.stats().threadsUsed, 4);
-        if (ss.hasSolution()) {
-            EXPECT_NEAR(ps.objective, ss.objective, 1e-6)
-                << "seed " << seed;
-            EXPECT_TRUE(m.isFeasible(ps.values, 1e-5))
-                << "seed " << seed;
-        }
-    }
+    return ((t * 7 + d * 3) % 11) - 5.0;
 }
 
 /** 6 tasks onto 3 devices, one device each, capacity 2.5 per
@@ -555,106 +566,55 @@ TEST(BranchBoundParallel, MatchesSerialObjectiveOnRandomMilps)
 Model
 makeAssignmentModel()
 {
-    constexpr int kTasks = 6, kDevs = 3;
     Model m;
-    std::vector<VarId> x(kTasks * kDevs);
-    for (int t = 0; t < kTasks; ++t)
-        for (int d = 0; d < kDevs; ++d)
-            x[t * kDevs + d] = m.addBinary();
-    for (int t = 0; t < kTasks; ++t) {
+    std::vector<VarId> x(kAssignTasks * kAssignDevs);
+    for (int t = 0; t < kAssignTasks; ++t)
+        for (int d = 0; d < kAssignDevs; ++d)
+            x[t * kAssignDevs + d] = m.addBinary();
+    for (int t = 0; t < kAssignTasks; ++t) {
         LinExpr one;
-        for (int d = 0; d < kDevs; ++d)
-            one.add(x[t * kDevs + d], 1.0);
+        for (int d = 0; d < kAssignDevs; ++d)
+            one.add(x[t * kAssignDevs + d], 1.0);
         m.addConstraint(std::move(one), Sense::Equal, 1.0);
     }
-    for (int d = 0; d < kDevs; ++d) {
+    for (int d = 0; d < kAssignDevs; ++d) {
         LinExpr cap;
-        for (int t = 0; t < kTasks; ++t)
-            cap.add(x[t * kDevs + d], 1.0);
+        for (int t = 0; t < kAssignTasks; ++t)
+            cap.add(x[t * kAssignDevs + d], 1.0);
         m.addConstraint(std::move(cap), Sense::LessEqual, 2.5);
     }
     LinExpr obj;
-    for (int t = 0; t < kTasks; ++t)
-        for (int d = 0; d < kDevs; ++d)
-            obj.add(x[t * kDevs + d], ((t * 7 + d * 3) % 11) - 5.0);
+    for (int t = 0; t < kAssignTasks; ++t)
+        for (int d = 0; d < kAssignDevs; ++d)
+            obj.add(x[t * kAssignDevs + d], assignmentCost(t, d));
     m.setObjective(std::move(obj));
     return m;
 }
 
-TEST(BranchBoundParallel, FloorplanShapedAssignment)
+TEST(BranchBound, FloorplanShapedAssignmentProvenOptimal)
 {
+    // Ground truth by enumerating all 3^6 task->device maps with at
+    // most two tasks per device.
+    double best = std::numeric_limits<double>::infinity();
+    for (int code = 0; code < 729; ++code) {
+        int load[kAssignDevs] = {0, 0, 0};
+        double cost = 0.0;
+        for (int t = 0, c = code; t < kAssignTasks; ++t, c /= 3) {
+            ++load[c % 3];
+            cost += assignmentCost(t, c % 3);
+        }
+        if (load[0] <= 2 && load[1] <= 2 && load[2] <= 2)
+            best = std::min(best, cost);
+    }
+
     const Model m = makeAssignmentModel();
-
-    SolverOptions serial_opt;
-    serial_opt.numThreads = 1;
-    BranchBoundSolver serial(serial_opt);
-    Solution ss = serial.solve(m);
-    ASSERT_EQ(ss.status, SolveStatus::Optimal);
-
-    SolverOptions par_opt;
-    par_opt.numThreads = 8;
-    BranchBoundSolver parallel(par_opt);
-    Solution ps = parallel.solve(m);
-    ASSERT_EQ(ps.status, SolveStatus::Optimal);
-    EXPECT_NEAR(ps.objective, ss.objective, 1e-6);
-    EXPECT_TRUE(parallel.stats().provenOptimal);
-    EXPECT_GE(parallel.stats().lpSolves, 1);
-}
-
-TEST(BranchBoundParallel, NodeLimitKeepsWarmIncumbent)
-{
-    // Same contract as the serial NodeLimitKeepsWarmIncumbent: the
-    // node budget is a hard cap even with concurrent workers racing
-    // to reserve slots.
-    Model m;
-    std::vector<VarId> x;
-    for (int i = 0; i < 30; ++i)
-        x.push_back(m.addBinary());
-    LinExpr cap, obj;
-    for (int i = 0; i < 30; ++i) {
-        cap.add(x[i], 1.0 + (i % 4));
-        obj.add(x[i], -(1.0 + (i % 7)));
-    }
-    m.addConstraint(std::move(cap), Sense::LessEqual, 20.0);
-    m.setObjective(std::move(obj));
-
-    std::vector<double> warm(30, 0.0);
-    warm[0] = warm[1] = 1.0;
-    ASSERT_TRUE(m.isFeasible(warm));
-
-    SolverOptions opt;
-    opt.maxNodes = 2;
-    opt.numThreads = 4;
-    BranchBoundSolver solver(opt);
-    Solution s = solver.solve(m, warm);
-    ASSERT_TRUE(s.hasSolution());
-    EXPECT_LE(s.objective, m.objective().evaluate(warm) + 1e-9);
-    EXPECT_LE(solver.stats().nodesExplored, 2);
-}
-
-TEST(BranchBoundParallel, DetectsInfeasibleAndUnbounded)
-{
-    {
-        Model m;
-        const VarId x = m.addBinary();
-        m.addConstraint(LinExpr().add(x, 1.0), Sense::GreaterEqual, 2.0);
-        m.setObjective(LinExpr().add(x, 1.0));
-        SolverOptions opt;
-        opt.numThreads = 4;
-        BranchBoundSolver solver(opt);
-        EXPECT_EQ(solver.solve(m).status, SolveStatus::Infeasible);
-    }
-    {
-        Model m;
-        const VarId x = m.addVar(VarKind::Integer, 0.0,
-                                 std::numeric_limits<double>::infinity());
-        m.addConstraint(LinExpr().add(x, 1.0), Sense::GreaterEqual, 1.0);
-        m.setObjective(LinExpr().add(x, -1.0));
-        SolverOptions opt;
-        opt.numThreads = 4;
-        BranchBoundSolver solver(opt);
-        EXPECT_EQ(solver.solve(m).status, SolveStatus::Unbounded);
-    }
+    BranchBoundSolver solver;
+    const Solution s = solver.solve(m);
+    ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_NEAR(s.objective, best, 1e-6);
+    EXPECT_TRUE(m.isFeasible(s.values, 1e-5));
+    EXPECT_TRUE(solver.stats().provenOptimal);
+    EXPECT_GE(solver.stats().lpSolves, 1);
 }
 
 TEST(Exhaustive, PureLpModelGetsClearStatus)
@@ -936,9 +896,7 @@ TEST(PivotPath, CnnTwoFpgaFloorplanPinned)
     opt.mode = CompileMode::TapaCs;
     opt.numFpgas = 2;
     opt.numThreads = 1;
-    opt.inter.solver.numThreads = 1;
     opt.inter.solver.timeLimitSeconds = 0.0;
-    opt.intra.solver.numThreads = 1;
     opt.intra.solver.timeLimitSeconds = 0.0;
     const CompileResult r = compileProgram(design.graph, design.tasks,
                                            makePaperTestbed(2), opt);

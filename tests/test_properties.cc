@@ -217,8 +217,7 @@ struct RandomFaultCase
     }
 
     sim::SimResult
-    run(const FaultPlan *faults,
-        sim::SimEngine engine = sim::SimEngine::Serial, int threads = 0)
+    run(const FaultPlan *faults)
     {
         HbmBinding binding;
         binding.channelsOf.assign(g.numVertices(), {});
@@ -233,8 +232,6 @@ struct RandomFaultCase
         sim::SimOptions opt;
         opt.faults = faults;
         opt.exportMetrics = false;
-        opt.engine = engine;
-        opt.numThreads = threads;
         opt.recordTimeline = true;
         return sim::simulate(g, cluster, part, binding, plan, fmax, opt);
     }
@@ -294,21 +291,21 @@ TEST_P(TransportProperty, ExactlyOnceUnderLossAndDeterministic)
 INSTANTIATE_TEST_SUITE_P(RandomLossyNetworks, TransportProperty,
                          ::testing::Range(0, 200));
 
-class EngineEquivalence : public ::testing::TestWithParam<int>
+class ReplayDeterminism : public ::testing::TestWithParam<int>
 {
 };
 
 /**
  * Property: on 200 random task graphs x cluster topologies, with and
- * without a lossy fault plan, the conservative parallel engine is
- * bit-identical to the serial engine — same makespan, same per-task
- * finish times, same per-edge transport accounting, same timeline —
- * regardless of thread count.
+ * without a lossy fault plan, simulating the same inputs twice is
+ * bit-identical — same makespan, same per-task finish times, same
+ * per-edge transport accounting, same timeline.
  */
-TEST_P(EngineEquivalence, ParallelBitIdenticalToSerial)
+TEST_P(ReplayDeterminism, SerialReplayBitIdentical)
 {
     const int seed = GetParam();
     RandomFaultCase c(5000 + seed);
+    RandomFaultCase c2(5000 + seed);
     Rng rng(9000 + seed);
     FaultPlan plan(17 + seed);
     for (DeviceId a = 0; a < c.cluster.numDevices(); ++a) {
@@ -319,46 +316,43 @@ TEST_P(EngineEquivalence, ParallelBitIdenticalToSerial)
     for (const FaultPlan *faults :
          {static_cast<const FaultPlan *>(nullptr),
           static_cast<const FaultPlan *>(&plan)}) {
-        const sim::SimResult serial =
-            c.run(faults, sim::SimEngine::Serial);
-        const int threads = 1 + seed % 8;
-        const sim::SimResult par =
-            c.run(faults, sim::SimEngine::Parallel, threads);
-        SCOPED_TRACE(strprintf("seed %d faults %d threads %d", seed,
-                               faults != nullptr, threads));
-        EXPECT_EQ(serial.makespan, par.makespan);
-        EXPECT_EQ(serial.completed, par.completed);
-        EXPECT_EQ(serial.interDeviceBytes, par.interDeviceBytes);
-        EXPECT_EQ(serial.taskFinish, par.taskFinish);
-        EXPECT_EQ(serial.firedBlocks, par.firedBlocks);
-        EXPECT_EQ(serial.stats.get("events"), par.stats.get("events"));
-        EXPECT_EQ(serial.stats.get("hbm.busy_seconds"),
-                  par.stats.get("hbm.busy_seconds"));
-        ASSERT_EQ(serial.edgeComm.size(), par.edgeComm.size());
-        for (EdgeId e = 0; e < (EdgeId)serial.edgeComm.size(); ++e) {
-            EXPECT_EQ(serial.edgeComm[e].messages,
-                      par.edgeComm[e].messages);
-            EXPECT_EQ(serial.edgeComm[e].retries,
-                      par.edgeComm[e].retries);
-            EXPECT_EQ(serial.edgeComm[e].undelivered,
-                      par.edgeComm[e].undelivered);
-            EXPECT_EQ(serial.edgeComm[e].backoffSeconds,
-                      par.edgeComm[e].backoffSeconds);
+        const sim::SimResult first = c.run(faults);
+        const sim::SimResult again = c2.run(faults);
+        SCOPED_TRACE(strprintf("seed %d faults %d", seed,
+                               faults != nullptr));
+        EXPECT_EQ(first.makespan, again.makespan);
+        EXPECT_EQ(first.completed, again.completed);
+        EXPECT_EQ(first.interDeviceBytes, again.interDeviceBytes);
+        EXPECT_EQ(first.taskFinish, again.taskFinish);
+        EXPECT_EQ(first.firedBlocks, again.firedBlocks);
+        EXPECT_EQ(first.stats.get("events"), again.stats.get("events"));
+        EXPECT_EQ(first.stats.get("hbm.busy_seconds"),
+                  again.stats.get("hbm.busy_seconds"));
+        ASSERT_EQ(first.edgeComm.size(), again.edgeComm.size());
+        for (EdgeId e = 0; e < (EdgeId)first.edgeComm.size(); ++e) {
+            EXPECT_EQ(first.edgeComm[e].messages,
+                      again.edgeComm[e].messages);
+            EXPECT_EQ(first.edgeComm[e].retries,
+                      again.edgeComm[e].retries);
+            EXPECT_EQ(first.edgeComm[e].undelivered,
+                      again.edgeComm[e].undelivered);
+            EXPECT_EQ(first.edgeComm[e].backoffSeconds,
+                      again.edgeComm[e].backoffSeconds);
         }
-        ASSERT_EQ(serial.timeline.size(), par.timeline.size());
-        for (std::size_t i = 0; i < serial.timeline.size(); ++i) {
-            EXPECT_EQ(serial.timeline[i].task, par.timeline[i].task);
-            EXPECT_EQ(serial.timeline[i].block,
-                      par.timeline[i].block);
-            EXPECT_EQ(serial.timeline[i].start,
-                      par.timeline[i].start);
-            EXPECT_EQ(serial.timeline[i].writeDone,
-                      par.timeline[i].writeDone);
+        ASSERT_EQ(first.timeline.size(), again.timeline.size());
+        for (std::size_t i = 0; i < first.timeline.size(); ++i) {
+            EXPECT_EQ(first.timeline[i].task, again.timeline[i].task);
+            EXPECT_EQ(first.timeline[i].block,
+                      again.timeline[i].block);
+            EXPECT_EQ(first.timeline[i].start,
+                      again.timeline[i].start);
+            EXPECT_EQ(first.timeline[i].writeDone,
+                      again.timeline[i].writeDone);
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomGraphsAndTopologies, EngineEquivalence,
+INSTANTIATE_TEST_SUITE_P(RandomGraphsAndTopologies, ReplayDeterminism,
                          ::testing::Range(0, 200));
 
 class LatencyMonotonicity : public ::testing::TestWithParam<int>

@@ -250,25 +250,24 @@ TEST(Manifest, MalformedLinesBecomeDiagnosticsAndParsingContinues)
 TEST(Manifest, SimulateKeysParseAndValidate)
 {
     const serve::ParsedManifest ok = serve::parseManifest(
-        "request a workload=stencil simulate=1 sim_engine=parallel\n"
+        "request a workload=stencil simulate=1\n"
         "request b workload=stencil simulate=0\n"
         "request c workload=stencil\n");
     ASSERT_TRUE(ok.clean());
     ASSERT_EQ(ok.requests.size(), 3u);
     EXPECT_TRUE(ok.requests[0].simulate);
-    EXPECT_EQ(ok.requests[0].simEngine, "parallel");
     EXPECT_FALSE(ok.requests[1].simulate);
     EXPECT_FALSE(ok.requests[2].simulate);
-    EXPECT_TRUE(ok.requests[2].simEngine.empty());
 
     const serve::ParsedManifest bad = serve::parseManifest(
         "request a workload=stencil simulate=2\n"
-        "request b workload=stencil sim_engine=fast\n");
+        "request b workload=stencil sim_engine=serial\n");
     EXPECT_TRUE(bad.requests.empty());
     ASSERT_EQ(bad.diagnostics.size(), 2u);
     EXPECT_NE(bad.diagnostics[0].message.find("simulate"),
               std::string::npos);
-    EXPECT_NE(bad.diagnostics[1].message.find("sim_engine"),
+    // The simulator has one event loop; the old engine key is gone.
+    EXPECT_NE(bad.diagnostics[1].message.find("unknown key 'sim_engine'"),
               std::string::npos);
 }
 
@@ -422,7 +421,6 @@ TEST(Robustness, CancellationBoundsSolverNodeExpansions)
     m.setObjective(std::move(objective));
 
     ilp::SolverOptions cancelled;
-    cancelled.numThreads = 1;
     cancelled.ctx = Context::cancellable();
     cancelled.ctx.cancel();
     ilp::BranchBoundSolver stopped(cancelled);
@@ -431,9 +429,7 @@ TEST(Robustness, CancellationBoundsSolverNodeExpansions)
     EXPECT_LE(stopped.stats().nodesExplored, 1);
 
     // Control: the same model solved uninterrupted explores real work.
-    ilp::SolverOptions open;
-    open.numThreads = 1;
-    ilp::BranchBoundSolver full(open);
+    ilp::BranchBoundSolver full;
     const ilp::Solution s = full.solve(m);
     EXPECT_EQ(s.status, ilp::SolveStatus::Optimal);
     EXPECT_FALSE(full.stats().interrupted);
@@ -677,20 +673,19 @@ TEST(CompileService, ExploreRequestSweepsAndReportsTheFrontier)
     EXPECT_GT(o.tasks, 0);
 }
 
-TEST(CompileService, SimulatedRequestReportsMakespanOnBothEngines)
+TEST(CompileService, SimulatedRequestReportsRepeatableMakespan)
 {
     serve::ServeOptions sopt;
     sopt.threads = 1;
     serve::CompileService service(sopt);
-    serve::Request serial = quickRequest("sim-serial");
-    serial.fpgas = 4;
-    serial.mode = CompileMode::TapaCs;
-    serial.simulate = true;
-    serve::Request par = serial;
-    par.name = "sim-parallel";
-    par.simEngine = "parallel";
-    ASSERT_TRUE(service.submit(serial).ok());
-    ASSERT_TRUE(service.submit(par).ok());
+    serve::Request first = quickRequest("sim-first");
+    first.fpgas = 4;
+    first.mode = CompileMode::TapaCs;
+    first.simulate = true;
+    serve::Request again = first;
+    again.name = "sim-again";
+    ASSERT_TRUE(service.submit(first).ok());
+    ASSERT_TRUE(service.submit(again).ok());
     const std::vector<serve::ServeOutcome> outcomes = service.finish();
     ASSERT_EQ(outcomes.size(), 2u);
     for (const serve::ServeOutcome &o : outcomes) {
@@ -699,8 +694,7 @@ TEST(CompileService, SimulatedRequestReportsMakespanOnBothEngines)
         EXPECT_TRUE(o.simulated);
         EXPECT_GT(o.simMakespan, 0.0);
     }
-    // Engine choice must not change the answer — the parallel engine
-    // is bit-identical to the serial reference.
+    // The same request simulates to the same makespan.
     EXPECT_DOUBLE_EQ(outcomes[0].simMakespan, outcomes[1].simMakespan);
 }
 

@@ -1,14 +1,17 @@
 /**
  * @file
- * Determinism suite for the parallel simulation engine: the parallel
- * engine must produce *bit-identical* SimResults to the serial engine
- * — on the four paper workloads, healthy and under the golden fault
- * scenario, at 1/2/4/8 threads — plus the typed abort paths
+ * Bit-exact pins for the simulator's event loop: the four paper
+ * workloads, healthy and under the golden fault scenario, plus a
+ * hand-placed chain across both nodes of an 8-FPGA testbed. Each case
+ * pins the makespan's bits, a CRC-64 over every task's finish time,
+ * the per-block timeline and the per-edge transport accounting, and
+ * the processed-event count. Also covers the typed abort paths
  * (deadline, cancellation, event cap) and the trySimulate() error
  * taxonomy that replaced fatal() on request-reachable inputs.
  */
 
-#include <cstdlib>
+#include <cinttypes>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -16,9 +19,10 @@
 #include "apps/knn.hh"
 #include "apps/pagerank.hh"
 #include "apps/stencil.hh"
+#include "common/crc64.hh"
+#include "common/logging.hh"
 #include "compiler/compiler.hh"
 #include "network/faults.hh"
-#include "obs/metrics.hh"
 #include "sim/dataflow_sim.hh"
 
 namespace tapacs
@@ -26,55 +30,72 @@ namespace tapacs
 namespace
 {
 
-/** Exact (bitwise, not approximate) equality of two runs. */
-void
-expectIdentical(const sim::SimResult &a, const sim::SimResult &b,
-                const std::string &what)
+std::uint64_t
+bitsOf(double x)
 {
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.status.code(), b.status.code());
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.interDeviceBytes, b.interDeviceBytes);
-    EXPECT_EQ(a.taskFinish, b.taskFinish);
-    EXPECT_EQ(a.deviceComputeBusy, b.deviceComputeBusy);
-    EXPECT_EQ(a.deviceTaskCount, b.deviceTaskCount);
-    EXPECT_EQ(a.firedBlocks, b.firedBlocks);
-    EXPECT_EQ(a.deadDevices, b.deadDevices);
-    ASSERT_EQ(a.edgeComm.size(), b.edgeComm.size());
-    for (std::size_t e = 0; e < a.edgeComm.size(); ++e) {
-        SCOPED_TRACE("edge " + std::to_string(e));
-        EXPECT_EQ(a.edgeComm[e].messages, b.edgeComm[e].messages);
-        EXPECT_EQ(a.edgeComm[e].retries, b.edgeComm[e].retries);
-        EXPECT_EQ(a.edgeComm[e].timeouts, b.edgeComm[e].timeouts);
-        EXPECT_EQ(a.edgeComm[e].undelivered,
-                  b.edgeComm[e].undelivered);
-        EXPECT_EQ(a.edgeComm[e].backoffSeconds,
-                  b.edgeComm[e].backoffSeconds);
-        EXPECT_EQ(a.edgeComm[e].linkDownWaitSeconds,
-                  b.edgeComm[e].linkDownWaitSeconds);
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+/** Fold one value's bytes into a running CRC-64. */
+template <typename T>
+void
+mix(std::uint64_t *crc, const T &v)
+{
+    *crc = crc64(&v, sizeof v, *crc);
+}
+
+/** CRC-64 over taskFinish, the timeline and edgeComm, field by field
+ *  (never over struct padding). */
+std::uint64_t
+resultCrc(const sim::SimResult &r)
+{
+    std::uint64_t crc = 0;
+    for (Seconds t : r.taskFinish)
+        mix(&crc, t);
+    for (const sim::FiringRecord &f : r.timeline) {
+        mix(&crc, f.task);
+        mix(&crc, f.block);
+        mix(&crc, f.start);
+        mix(&crc, f.readDone);
+        mix(&crc, f.computeStart);
+        mix(&crc, f.computeDone);
+        mix(&crc, f.writeDone);
     }
-    for (const char *key :
-         {"events", "hbm.busy_seconds", "net.intra.transfers",
-          "net.inter.transfers", "net.undelivered", "net.retries",
-          "net.timeouts", "net.link_down_waits"}) {
-        SCOPED_TRACE(key);
-        EXPECT_EQ(a.stats.has(key), b.stats.has(key));
-        EXPECT_EQ(a.stats.get(key), b.stats.get(key));
+    for (const sim::EdgeCommStats &e : r.edgeComm) {
+        mix(&crc, e.messages);
+        mix(&crc, e.retries);
+        mix(&crc, e.timeouts);
+        mix(&crc, e.undelivered);
+        mix(&crc, e.backoffSeconds);
+        mix(&crc, e.linkDownWaitSeconds);
     }
-    ASSERT_EQ(a.timeline.size(), b.timeline.size());
-    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-        SCOPED_TRACE("firing " + std::to_string(i));
-        EXPECT_EQ(a.timeline[i].task, b.timeline[i].task);
-        EXPECT_EQ(a.timeline[i].block, b.timeline[i].block);
-        EXPECT_EQ(a.timeline[i].start, b.timeline[i].start);
-        EXPECT_EQ(a.timeline[i].readDone, b.timeline[i].readDone);
-        EXPECT_EQ(a.timeline[i].computeStart,
-                  b.timeline[i].computeStart);
-        EXPECT_EQ(a.timeline[i].computeDone,
-                  b.timeline[i].computeDone);
-        EXPECT_EQ(a.timeline[i].writeDone, b.timeline[i].writeDone);
-    }
+    return crc;
+}
+
+/** One pinned run: makespan bits, result CRC, processed events. */
+struct Pin
+{
+    const char *name;
+    std::uint64_t makespanBits;
+    std::uint64_t crc;
+    std::uint64_t events;
+};
+
+void
+expectPinned(const sim::SimResult &r, const Pin &pin)
+{
+    const std::uint64_t events =
+        static_cast<std::uint64_t>(r.stats.get("events"));
+    const std::uint64_t makespan = bitsOf(r.makespan);
+    const std::uint64_t crc = resultCrc(r);
+    EXPECT_TRUE(makespan == pin.makespanBits && crc == pin.crc &&
+                events == pin.events)
+        << "pin drifted; this run is\n"
+        << strprintf("    {\"%s\", 0x%016" PRIx64 ", 0x%016" PRIx64
+                     ", %" PRIu64 "},",
+                     pin.name, makespan, crc, events);
 }
 
 /** The golden scenario of tools/tapacs_golden.cc. */
@@ -88,7 +109,7 @@ goldenFaultPlan()
     return plan;
 }
 
-/** One compiled placement, runnable under either engine. */
+/** One compiled placement, ready to simulate. */
 struct CompiledDesign
 {
     TaskGraph g{"x"};
@@ -99,12 +120,9 @@ struct CompiledDesign
     std::vector<Hertz> deviceFmax;
 
     sim::SimResult
-    run(sim::SimEngine engine, int threads,
-        const FaultPlan *faults) const
+    run(const FaultPlan *faults) const
     {
         sim::SimOptions opt;
-        opt.engine = engine;
-        opt.numThreads = threads;
         opt.faults = faults;
         opt.exportMetrics = false;
         opt.recordTimeline = true;
@@ -113,6 +131,8 @@ struct CompiledDesign
     }
 };
 
+/** Compile under node budgets only, so the placement (and with it
+ *  every pin) does not depend on host speed or load. */
 CompiledDesign
 compileApp(apps::AppDesign design, int fpgas)
 {
@@ -122,6 +142,8 @@ compileApp(apps::AppDesign design, int fpgas)
     CompileOptions opt;
     opt.mode = CompileMode::TapaCs;
     opt.numFpgas = fpgas;
+    opt.inter.solver.timeLimitSeconds = 0.0;
+    opt.intra.solver.timeLimitSeconds = 0.0;
     const CompileResult r =
         compileProgram(out.g, design.tasks, out.cluster, opt);
     EXPECT_TRUE(r.routable) << r.failureReason;
@@ -161,7 +183,7 @@ paperDesigns()
 }
 
 /** Hand-placed pipeline across both nodes of an 8-FPGA testbed —
- *  exercises the cross-node commit phase no 2-FPGA workload reaches. */
+ *  exercises the cross-node pipes no 2-FPGA workload reaches. */
 CompiledDesign
 crossNodeChain()
 {
@@ -191,103 +213,99 @@ crossNodeChain()
     return out;
 }
 
-void
-checkEngineEquivalence(const CompiledDesign &d, const FaultPlan *plan,
-                       const std::string &what)
-{
-    const sim::SimResult serial =
-        d.run(sim::SimEngine::Serial, 1, plan);
-    EXPECT_TRUE(serial.status.ok()) << serial.status.toString();
-    for (const int threads : {1, 2, 4, 8}) {
-        const sim::SimResult par =
-            d.run(sim::SimEngine::Parallel, threads, plan);
-        expectIdentical(serial, par,
-                        what + " x" + std::to_string(threads));
-    }
-}
+const Pin kPaperPins[] = {
+    {"stencil/healthy", 0x3fd6e3f399dad215, 0x8f21ce311410689a, 6336},
+    {"stencil/faulted", 0x3fd6e623b2280f97, 0x3f08b3292de2c830, 6336},
+    {"pagerank/healthy", 0x3f92f41dbfc65493, 0x80f01ab0aa0ce2c2, 720},
+    {"pagerank/faulted", 0x3f92f61cb192734e, 0xb289d6dc6864a619, 720},
+    {"knn/healthy", 0x3f29c08cbba547d0, 0xe4d2b832e0150125, 2304},
+    {"knn/faulted", 0x3f300a7a15087629, 0x98118f53c0319a5a, 2304},
+    {"cnn/healthy", 0x3f759d10d28684ef, 0x9158358c0b3441e6, 384},
+    {"cnn/faulted", 0x3f78efb3a5964611, 0x05a6f1ef5230bd87, 384},
+};
 
-TEST(SimEngine, GoldenWorkloadsBitIdenticalAcrossEngines)
+const Pin kCrossNodePins[] = {
+    {"xnode/healthy", 0x3f897d3ea86aa620, 0x74bbc9b52c2ce67a, 112},
+    {"xnode/faulted", 0x3f89a52128c35da6, 0x7d9dbe6061cbb02b, 112},
+};
+
+TEST(SerialSim, GoldenWorkloadsPinned)
 {
     const FaultPlan plan = goldenFaultPlan();
+    const Pin *pin = kPaperPins;
     for (const auto &[name, design] : paperDesigns()) {
-        checkEngineEquivalence(design, nullptr, name + "/healthy");
-        checkEngineEquivalence(design, &plan, name + "/faulted");
+        for (const FaultPlan *faults :
+             {static_cast<const FaultPlan *>(nullptr), &plan}) {
+            SCOPED_TRACE(pin->name);
+            const sim::SimResult r = design.run(faults);
+            EXPECT_TRUE(r.status.ok()) << r.status.toString();
+            expectPinned(r, *pin++);
+        }
     }
 }
 
-TEST(SimEngine, CrossNodeChainBitIdenticalAcrossEngines)
+TEST(SerialSim, CrossNodeChainPinned)
 {
     const CompiledDesign d = crossNodeChain();
-    checkEngineEquivalence(d, nullptr, "xnode/healthy");
-
     FaultPlan plan(20260807);
     plan.degradeLink(3, 4, 0.0, 0.5) // the node boundary
         .dropLink(3, 4, 0.0, 0.02)
         .jitterLink(0, 1, 0.0, 2e-6);
-    checkEngineEquivalence(d, &plan, "xnode/faulted");
-}
-
-TEST(SimEngine, DeadlineExceededIsTypedInBothEngines)
-{
-    const CompiledDesign d = crossNodeChain();
-    for (const sim::SimEngine engine :
-         {sim::SimEngine::Serial, sim::SimEngine::Parallel}) {
-        sim::SimOptions opt;
-        opt.engine = engine;
-        opt.exportMetrics = false;
-        opt.ctx = Context::withTimeout(0.0); // already expired
-        const StatusOr<sim::SimResult> r =
-            sim::trySimulate(d.g, d.cluster, d.partition, d.binding,
-                             d.pipeline, d.deviceFmax, opt);
-        ASSERT_TRUE(r.ok());
-        EXPECT_EQ(r.value().status.code(),
-                  StatusCode::DeadlineExceeded)
-            << toString(engine);
-        EXPECT_FALSE(r.value().completed);
+    const Pin *pin = kCrossNodePins;
+    for (const FaultPlan *faults :
+         {static_cast<const FaultPlan *>(nullptr),
+          static_cast<const FaultPlan *>(&plan)}) {
+        SCOPED_TRACE(pin->name);
+        const sim::SimResult r = d.run(faults);
+        EXPECT_TRUE(r.status.ok()) << r.status.toString();
+        expectPinned(r, *pin++);
     }
 }
 
-TEST(SimEngine, CancellationIsTypedInBothEngines)
+TEST(SerialSim, DeadlineExceededIsTyped)
 {
     const CompiledDesign d = crossNodeChain();
-    for (const sim::SimEngine engine :
-         {sim::SimEngine::Serial, sim::SimEngine::Parallel}) {
-        sim::SimOptions opt;
-        opt.engine = engine;
-        opt.exportMetrics = false;
-        opt.ctx = Context::cancellable();
-        opt.ctx.cancel();
-        const StatusOr<sim::SimResult> r =
-            sim::trySimulate(d.g, d.cluster, d.partition, d.binding,
-                             d.pipeline, d.deviceFmax, opt);
-        ASSERT_TRUE(r.ok());
-        EXPECT_EQ(r.value().status.code(), StatusCode::Cancelled)
-            << toString(engine);
-    }
+    sim::SimOptions opt;
+    opt.exportMetrics = false;
+    opt.ctx = Context::withTimeout(0.0); // already expired
+    const StatusOr<sim::SimResult> r =
+        sim::trySimulate(d.g, d.cluster, d.partition, d.binding,
+                         d.pipeline, d.deviceFmax, opt);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().status.code(), StatusCode::DeadlineExceeded);
+    EXPECT_FALSE(r.value().completed);
 }
 
-TEST(SimEngine, EventCapIsTypedInBothEngines)
+TEST(SerialSim, CancellationIsTyped)
 {
     const CompiledDesign d = crossNodeChain();
-    for (const sim::SimEngine engine :
-         {sim::SimEngine::Serial, sim::SimEngine::Parallel}) {
-        sim::SimOptions opt;
-        opt.engine = engine;
-        opt.exportMetrics = false;
-        opt.maxEvents = 4;
-        const StatusOr<sim::SimResult> r =
-            sim::trySimulate(d.g, d.cluster, d.partition, d.binding,
-                             d.pipeline, d.deviceFmax, opt);
-        ASSERT_TRUE(r.ok());
-        EXPECT_EQ(r.value().status.code(),
-                  StatusCode::ResourceExhausted)
-            << toString(engine);
-        EXPECT_NE(r.value().status.message().find("event cap"),
-                  std::string::npos);
-    }
+    sim::SimOptions opt;
+    opt.exportMetrics = false;
+    opt.ctx = Context::cancellable();
+    opt.ctx.cancel();
+    const StatusOr<sim::SimResult> r =
+        sim::trySimulate(d.g, d.cluster, d.partition, d.binding,
+                         d.pipeline, d.deviceFmax, opt);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().status.code(), StatusCode::Cancelled);
 }
 
-TEST(SimEngine, TrySimulateReturnsInvalidInputInsteadOfFatal)
+TEST(SerialSim, EventCapIsTyped)
+{
+    const CompiledDesign d = crossNodeChain();
+    sim::SimOptions opt;
+    opt.exportMetrics = false;
+    opt.maxEvents = 4;
+    const StatusOr<sim::SimResult> r =
+        sim::trySimulate(d.g, d.cluster, d.partition, d.binding,
+                         d.pipeline, d.deviceFmax, opt);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().status.code(), StatusCode::ResourceExhausted);
+    EXPECT_NE(r.value().status.message().find("event cap"),
+              std::string::npos);
+}
+
+TEST(SerialSim, TrySimulateReturnsInvalidInputInsteadOfFatal)
 {
     // Non-integral rate ratio: 3 blocks feeding 2.
     CompiledDesign d;
@@ -338,54 +356,6 @@ TEST(SimEngine, TrySimulateReturnsInvalidInputInsteadOfFatal)
     EXPECT_EQ(r.status().code(), StatusCode::InvalidInput);
     EXPECT_NE(r.status().message().find("binds no channels"),
               std::string::npos);
-}
-
-TEST(SimEngine, EnvVarOverridesEngineSelection)
-{
-    const CompiledDesign d = crossNodeChain();
-    ASSERT_EQ(setenv("TAPACS_SIM_ENGINE", "parallel", 1), 0);
-    sim::SimOptions opt;
-    opt.engine = sim::SimEngine::Serial; // overridden by the env var
-    opt.exportMetrics = true;
-    const sim::SimResult r =
-        sim::simulate(d.g, d.cluster, d.partition, d.binding,
-                      d.pipeline, d.deviceFmax, opt);
-    unsetenv("TAPACS_SIM_ENGINE");
-    EXPECT_TRUE(r.completed);
-    // The parallel engine ran: its window counters were published.
-    EXPECT_GE(obs::MetricsRegistry::global()
-                  .gauge("tapacs.sim.par.windows")
-                  .value(),
-              1.0);
-    obs::MetricsRegistry::global().resetPrefix("tapacs.sim.");
-}
-
-TEST(SimEngine, ParallelFallsBackToSerialOnSingleDevice)
-{
-    // One device = one LP: the parallel request must still work (it
-    // silently runs the serial loop) and export no par counters.
-    CompiledDesign d;
-    d.g = TaskGraph("one");
-    d.cluster = makePaperTestbed(1);
-    WorkProfile w;
-    w.computeOps = 1e6;
-    w.numBlocks = 4;
-    const VertexId a = d.g.addVertex("a", ResourceVector{}, w);
-    const VertexId b = d.g.addVertex("b", ResourceVector{}, w);
-    d.g.addEdge(a, b, 32, 1e4);
-    d.partition.deviceOf = {0, 0};
-    d.binding.channelsOf.assign(2, {});
-    d.binding.usersPerChannel.assign(
-        1, std::vector<int>(d.cluster.device().memory().channels, 0));
-    d.pipeline.edges.assign(1, EdgePipelining{});
-    d.pipeline.addedAreaPerDevice.assign(1, ResourceVector{});
-    d.deviceFmax.assign(1, 300.0e6);
-
-    const sim::SimResult serial = d.run(sim::SimEngine::Serial, 1,
-                                        nullptr);
-    const sim::SimResult par = d.run(sim::SimEngine::Parallel, 4,
-                                     nullptr);
-    expectIdentical(serial, par, "single-device fallback");
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Build the ThreadSanitizer configuration and run the tsan-labeled
-# test suites (the concurrency tests added with the parallel
-# floorplanning engine: thread pool, parallel branch-and-bound,
-# concurrent floorplan passes).
+# test suites (the thread pool and the concurrent outer loops: per-
+# device floorplan passes, HBM binding sweep, DSE points, serving).
 #
 # Usage: tools/run_tsan.sh [build-dir]
 #   build-dir defaults to build-tsan (matches the 'tsan' CMake preset).

@@ -298,10 +298,6 @@ main(int argc, char **argv)
     // stable across runs.
     std::map<std::string, Accum> by_phase;
     std::map<int, Accum> by_thread;
-    // Parallel-simulator logical processes: one "sim.lp.dN" span per
-    // LP per active window, so busy ms / spans here shows the load
-    // balance across devices.
-    std::map<std::string, Accum> by_lp;
     std::int64_t complete_events = 0;
 
     for (const Event &ev : events) {
@@ -315,8 +311,6 @@ main(int argc, char **argv)
         by_thread[ev.tid].add(ev);
         if (ev.category == "compile" || ev.name.rfind("phase", 0) == 0)
             by_phase[ev.name].add(ev);
-        if (ev.category == "sim" && ev.name.rfind("sim.lp.", 0) == 0)
-            by_lp[ev.name].add(ev);
     }
 
     if (complete_events == 0) {
@@ -337,20 +331,6 @@ main(int argc, char **argv)
         phases.addSeparator();
         phases.addRow({"total", formatMs(total), ""});
         phases.print();
-        std::printf("\n");
-    }
-
-    if (!by_lp.empty()) {
-        tapacs::TextTable lps(
-            {"logical process", "busy ms", "windows",
-             "first..last ms"});
-        lps.setTitle("Parallel-sim LP breakdown");
-        for (const auto &[name, acc] : by_lp)
-            lps.addRow({name, formatMs(acc.totalMicros),
-                        std::to_string(acc.count),
-                        formatMs(acc.minTs) + ".." +
-                            formatMs(acc.maxEnd)});
-        lps.print();
         std::printf("\n");
     }
 
