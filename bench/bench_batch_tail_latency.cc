@@ -13,13 +13,12 @@
  * expired request must unwind quickly instead of wedging a worker).
  * Exit is nonzero when any request overstays.
  *
- * With --fleet the same mix runs through the multi-process
- * supervisor (serve/supervisor) instead of the in-process service:
- * one worker process per thread, the same typed-outcome and
- * deadline contract enforced across a process boundary. The worker
- * binary comes from $TAPACS_WORKER_EXE (ctest/CI point it at the
- * built tapacs-serve); without it the bench falls back to the
- * in-process path with a note, so the acceptance gate never depends
+ * With --fleet the same mix runs on worker-process slots instead of
+ * in-thread ones: one worker process per thread, the same typed-
+ * outcome and deadline contract enforced across a process boundary.
+ * The worker binary comes from $TAPACS_WORKER_EXE (ctest/CI point it
+ * at the built tapacs-serve); without it the bench falls back to
+ * in-thread slots with a note, so the acceptance gate never depends
  * on environment wiring.
  *
  * Usage: bench_batch_tail_latency [--threads N] [--fleet]
@@ -37,7 +36,6 @@
 #include "common/table.hh"
 #include "serve/manifest.hh"
 #include "serve/service.hh"
-#include "serve/supervisor.hh"
 
 using namespace tapacs;
 using namespace tapacs::bench;
@@ -84,20 +82,18 @@ main(int argc, char **argv)
 {
     JsonReport report(argc, argv);
     int threads = 4;
-    bool fleet = false;
+    std::string workerExe;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
             threads = std::atoi(argv[i + 1]);
-        if (std::strcmp(argv[i], "--fleet") == 0)
-            fleet = true;
-    }
-    if (fleet) {
-        const char *exe = std::getenv("TAPACS_WORKER_EXE");
-        if (exe == nullptr || *exe == '\0') {
-            std::printf("note: --fleet requested but "
-                        "TAPACS_WORKER_EXE is unset; running the "
-                        "in-process service instead\n");
-            fleet = false;
+        if (std::strcmp(argv[i], "--fleet") == 0) {
+            const char *exe = std::getenv("TAPACS_WORKER_EXE");
+            if (exe == nullptr || *exe == '\0')
+                std::printf("note: --fleet requested but "
+                            "TAPACS_WORKER_EXE is unset; running "
+                            "in-thread slots instead\n");
+            else
+                workerExe = exe;
         }
     }
 
@@ -117,30 +113,14 @@ main(int argc, char **argv)
                               -1.0));
     }
 
-    std::vector<serve::ServeOutcome> outcomes;
-    if (fleet) {
-        serve::FleetOptions fopt;
-        fopt.workers = threads;
-        serve::Supervisor supervisor(fopt);
-        const Status started = supervisor.start();
-        if (!started.ok())
-            fatal("fleet start failed: %s",
-                  started.message().c_str());
-        for (const serve::Request &req : mix)
-            if (!supervisor.submit(req).ok())
-                fatal("submission unexpectedly shed");
-        supervisor.drain();
-        for (serve::FleetOutcome &f : supervisor.finish())
-            outcomes.push_back(std::move(f.outcome));
-    } else {
-        serve::ServeOptions sopt;
-        sopt.threads = threads;
-        serve::CompileService service(sopt);
-        for (const serve::Request &req : mix)
-            if (!service.submit(req).ok())
-                fatal("submission unexpectedly shed");
-        outcomes = service.finish();
-    }
+    serve::ServeOptions sopt;
+    sopt.threads = threads;
+    sopt.workerExe = workerExe;
+    serve::CompileService service(sopt);
+    for (const serve::Request &req : mix)
+        if (!service.submit(req).ok())
+            fatal("submission unexpectedly shed");
+    const std::vector<serve::ServeOutcome> outcomes = service.finish();
 
     // Bucket latencies by request class (the name prefix).
     const char *classes[] = {"expired", "tight", "big", "open"};
@@ -188,7 +168,7 @@ main(int argc, char **argv)
 
     std::printf("batch tail latency: %zu requests, %d %s\n\n",
                 outcomes.size(), threads,
-                fleet ? "worker process(es)" : "thread(s)");
+                workerExe.empty() ? "thread(s)" : "worker process(es)");
     std::printf("%s\n", table.render().c_str());
     std::printf("overall p50 %.2f ms  p99 %.2f ms  degraded %d/%zu  "
                 "overstayed %d\n",

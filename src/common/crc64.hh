@@ -3,7 +3,7 @@
  * CRC-64/XZ (ECMA-182 polynomial, reflected) for corruption
  * detection on every durable byte the serving tier owns: disk cache
  * entries (cache/store), request-journal records (serve/journal) and
- * wire frames between the supervisor and its workers (serve/wire).
+ * wire frames between a process slot and its worker (serve/wire).
  *
  * The checksum is a pure function of the bytes — no seeds from
  * wall-clock or addresses — so a checksummed artifact verifies

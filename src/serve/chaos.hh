@@ -7,7 +7,7 @@
  * drawn from a seed (randomPlan); either way it is plain data, so
  * the same plan applied to the same request set produces the same
  * fault sequence on every run. Worker faults are *self-injected*:
- * the supervisor passes the slot's fault to the worker process on
+ * the process slot passes its fault to the worker process on
  * its command line, and the worker trips it deterministically when
  * it has served the configured number of requests — no signal races,
  * no timing dependence. A fault applies only to the slot's first
@@ -15,13 +15,13 @@
  * crash-then-recover shape the tests need to converge.
  *
  *   Kill   _Exit at request receipt: worker death mid-compile. The
- *          supervisor sees EOF on the response pipe.
+ *          slot sees EOF on the response pipe.
  *   Hang   heartbeats stop, the worker sleeps: a wedged process. The
- *          supervisor's heartbeat timeout fires.
+ *          slot's heartbeat timeout fires.
  *   Stall  heartbeats continue, the response is late: a live but
  *          overrunning compile. The per-attempt deadline fires.
  *
- * The wire delay is supervisor-side (a sleep before each dispatch),
+ * The wire delay is slot-side (a sleep before each dispatch),
  * modeling a slow link without touching the worker.
  *
  * The file-corruption helpers (truncateTail, flipBit,
@@ -55,7 +55,7 @@ struct WorkerFault
     /** Trip after serving this many requests (0 = on the first). */
     int afterRequests = 0;
     /** Hang/Stall duration; a Hang only needs to outlive the
-     *  supervisor's heartbeat timeout (it gets SIGKILLed). */
+     *  slot's heartbeat timeout (it gets SIGKILLed). */
     double seconds = 0.0;
 };
 
@@ -64,7 +64,7 @@ struct ChaosPlan
 {
     /** faultFor(slot) — indexed by worker slot, missing = healthy. */
     std::vector<WorkerFault> workerFaults;
-    /** Supervisor-side sleep before each dispatch. */
+    /** Slot-side sleep before each dispatch. */
     double wireDelaySeconds = 0.0;
 
     ChaosPlan &kill(int slot, int afterRequests);
@@ -87,7 +87,7 @@ struct ChaosPlan
 ChaosPlan randomPlan(std::uint64_t seed, int workers, int requests);
 
 /** "none" | "kill:N" | "hang:N:SECS" | "stall:N:SECS" — the argv
- *  form the supervisor hands a worker. */
+ *  form the process slot hands a worker. */
 std::string encodeWorkerFault(const WorkerFault &fault);
 bool decodeWorkerFault(const std::string &text, WorkerFault *out);
 

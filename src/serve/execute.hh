@@ -5,12 +5,12 @@
  * executeRequest() is the one function that turns a manifest Request
  * into a typed ServeOutcome: build/parse the task graph, compile (or
  * recompile against a retained base), optionally simulate or sweep
- * the design space, all under the caller's Context. CompileService
- * calls it from its in-process worker threads; the fleet worker
- * (serve/worker) calls the same function from a child process, which
- * is what makes a re-dispatched request bit-identical to an
- * uninterrupted one — both tiers execute literally the same code
- * against the same content-addressed cache.
+ * the design space, all under the caller's Context. CompileService's
+ * in-thread slots call it on their own threads; a worker process
+ * (serve/worker) calls the same function, which is what makes a
+ * re-dispatched request bit-identical to an uninterrupted one — both
+ * executors run literally the same code against the same
+ * content-addressed cache.
  *
  * ExecutePolicy carries the service-level hooks the core needs
  * (cache, warm-start flag, retained-result lookup/store) without

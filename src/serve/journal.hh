@@ -1,9 +1,9 @@
 /**
  * @file
- * Durable append-only request journal for the serving fleet.
+ * Durable append-only request journal for the serving scheduler.
  *
- * The supervisor appends a *begin* record when it admits a request
- * and an *end* record when the request resolves; a supervisor that
+ * The scheduler appends a *begin* record when it admits a request
+ * and an *end* record when the request resolves; a server that
  * crashed mid-batch replays the journal on restart: ids with both
  * records resolve immediately from the stored outcome, ids with only
  * a begin re-execute — safe, because compiles are deterministic and
@@ -27,7 +27,7 @@
  * reported Ok for survives power loss. scan() is total: a torn tail
  * (crash mid-append) truncates cleanly, and a corrupt record in the
  * middle (bit rot) is skipped by re-anchoring on the next magic —
- * each skip is counted so the supervisor can surface a typed
+ * each skip is counted so the scheduler can surface a typed
  * diagnostic instead of dying. rewrite() compacts via temp + rename,
  * the same torn-write-safe publish the disk cache uses.
  */

@@ -1,6 +1,6 @@
 /**
  * @file
- * The supervisor <-> worker wire protocol: length-prefixed, CRC64-
+ * The process slot <-> worker wire protocol: length-prefixed, CRC64-
  * checked frames over a pair of pipes.
  *
  * Frame layout (all integers little-endian, fixed width):
@@ -19,7 +19,7 @@
  * torn write from a dying worker degrades to a typed corrupt-frame
  * error, never to a garbage ServeOutcome.
  *
- * Conversation: worker sends Hello("<pid>") once; supervisor sends
+ * Conversation: worker sends Hello("<pid>") once; the slot sends
  * Request("<id> <manifest-line>"); worker emits Heartbeat frames on a
  * timer while compiling (liveness under long solves) and finally
  * Response("<id> " + encodeOutcome(...)). Shutdown (either way) or
@@ -68,7 +68,8 @@ std::string encodeFrame(FrameType type, const std::string &payload);
 /**
  * Write one frame to @p fd, retrying short writes. Internal on any
  * write error (EPIPE from a dead peer included — callers must have
- * SIGPIPE ignored; the supervisor and worker mains both do).
+ * SIGPIPE ignored; the process-slot service and the worker both
+ * do).
  */
 Status writeFrame(int fd, FrameType type, const std::string &payload);
 

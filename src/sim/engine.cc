@@ -208,7 +208,6 @@ initRunState(const SimSetup &S, RunState *R)
     R->shards.resize(S.numDevices);
     for (DeviceId d = 0; d < S.numDevices; ++d) {
         Shard &sh = R->shards[d];
-        sh.dev = d;
         sh.hbm.assign(S.channels, Server{});
         if (S.injector)
             sh.transport.emplace(S.options->transport, &*S.injector);

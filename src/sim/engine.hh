@@ -104,7 +104,6 @@ Status buildSetup(const TaskGraph &g, const Cluster &cluster,
  *  transport, and what its tasks have produced so far. */
 struct Shard
 {
-    DeviceId dev = -1;
     std::vector<Server> hbm; ///< one per channel of this device
     /** Sender-side transport for this device's outgoing intra-node
      *  messages (engaged only under fault injection). Outcomes are

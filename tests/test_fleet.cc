@@ -4,10 +4,11 @@
  * vectors, wire-frame and outcome codecs, request-line rendering,
  * the durable journal (torn tails, corrupt-record resync,
  * compaction), checksummed disk-cache entries (corruption degrades
- * to a typed miss), stale-temp sweeping, and end-to-end supervisor
- * scenarios — worker kill mid-compile, hang detection via heartbeat
- * timeout, quarantine, supervisor restart with journal replay,
- * graceful drain, and serial-vs-4-worker bit-identity.
+ * to a typed miss), stale-temp sweeping, and end-to-end scenarios on
+ * worker-process slots — worker kill mid-compile, hang detection via
+ * heartbeat timeout, quarantine, server restart with journal replay,
+ * graceful drain, serial-vs-4-worker bit-identity, and in-thread vs
+ * worker-process slots agreeing on every outcome.
  *
  * The multi-process scenarios spawn $TAPACS_WORKER_EXE (ctest wires
  * it to the built tapacs-serve binary); without it they skip rather
@@ -25,6 +26,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "cache/compile_cache.hh"
 #include "cache/store.hh"
 #include "common/crc64.hh"
 #include "common/logging.hh"
@@ -32,7 +34,7 @@
 #include "serve/chaos.hh"
 #include "serve/journal.hh"
 #include "serve/manifest.hh"
-#include "serve/supervisor.hh"
+#include "serve/service.hh"
 #include "serve/wire.hh"
 
 namespace tapacs
@@ -519,24 +521,55 @@ TEST(Chaos, RandomPlansAreSeedDeterministic)
 
 // ------------------------------------------------------ fleet scenarios
 
+/** A disk-tier compile cache for one scenario; worker processes
+ *  open their own stores over its directory. */
+struct DiskCache
+{
+    explicit DiskCache(const std::string &dir)
+        : store([&] {
+              cache::CacheStore::Options opt;
+              opt.directory = dir;
+              return opt;
+          }()),
+          cache(store)
+    {
+    }
+
+    cache::CacheStore store;
+    cache::CompileCache cache;
+};
+
+/** @p workers worker-process slots over @p disk, with the retry
+ *  budget the crash scenarios need (three attempts per request). */
+serve::ServeOptions
+fleetOptions(int workers, const std::string &exe, DiskCache *disk)
+{
+    serve::ServeOptions opt;
+    opt.threads = workers;
+    opt.workerExe = exe;
+    opt.cache = disk == nullptr ? nullptr : &disk->cache;
+    opt.maxRetries = 2;
+    return opt;
+}
+
 struct FleetRun
 {
-    std::vector<serve::FleetOutcome> outcomes;
+    std::vector<serve::ServeOutcome> outcomes;
     int quarantined = 0;
 };
 
 FleetRun
-runFleet(serve::FleetOptions options,
+runFleet(const serve::ServeOptions &options,
          const std::vector<std::string> &lines)
 {
-    serve::Supervisor supervisor(std::move(options));
-    EXPECT_TRUE(supervisor.start().ok());
+    serve::CompileService service(options);
+    EXPECT_TRUE(service.startStatus().ok());
     for (const std::string &line : lines)
-        EXPECT_TRUE(supervisor.submit(parseOneRequest(line)).ok());
-    supervisor.drain();
+        EXPECT_TRUE(service.submit(parseOneRequest(line)).ok());
+    service.drain();
     FleetRun run;
-    run.quarantined = supervisor.quarantinedWorkers();
-    run.outcomes = supervisor.finish();
+    run.quarantined = service.quarantinedWorkers();
+    run.outcomes = service.finish();
     return run;
 }
 
@@ -554,19 +587,16 @@ TEST(Fleet, HealthyFleetResolvesEveryRequestOnce)
     if (exe.empty())
         GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
     const std::string dir = freshDir("fleet_healthy");
-    serve::FleetOptions opt;
-    opt.workers = 2;
-    opt.workerExe = exe;
-    opt.cacheDir = dir + "/cache";
-    const FleetRun run =
-        runFleet(opt, {kStencil, kPagerank, kKnn, kExplore});
+    DiskCache disk(dir + "/cache");
+    const FleetRun run = runFleet(fleetOptions(2, exe, &disk),
+                                  {kStencil, kPagerank, kKnn, kExplore});
     ASSERT_EQ(run.outcomes.size(), 4u);
-    for (const serve::FleetOutcome &f : run.outcomes) {
-        EXPECT_TRUE(f.outcome.status.ok()) << f.outcome.failureReason;
-        EXPECT_EQ(f.dispatchAttempts, 1);
-        EXPECT_NE(f.outcome.resultDigest, 0u) << f.outcome.name;
+    for (const serve::ServeOutcome &o : run.outcomes) {
+        EXPECT_TRUE(o.status.ok()) << o.failureReason;
+        EXPECT_EQ(o.attempts, 1);
+        EXPECT_NE(o.resultDigest, 0u) << o.name;
     }
-    EXPECT_TRUE(run.outcomes[3].outcome.explored);
+    EXPECT_TRUE(run.outcomes[3].explored);
     EXPECT_EQ(run.quarantined, 0);
 }
 
@@ -576,19 +606,18 @@ TEST(Fleet, KilledWorkerIsRestartedAndRequestRedispatched)
     if (exe.empty())
         GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
     const std::string dir = freshDir("fleet_kill");
-    serve::FleetOptions opt;
-    opt.workers = 1; // the killed slot must recover by itself
-    opt.workerExe = exe;
-    opt.cacheDir = dir + "/cache";
+    DiskCache disk(dir + "/cache");
+    // One slot: the killed slot must recover by itself.
+    serve::ServeOptions opt = fleetOptions(1, exe, &disk);
     opt.chaos.kill(0, 0); // die at the first request
     const FleetRun run = runFleet(opt, {kStencil, kPagerank});
     ASSERT_EQ(run.outcomes.size(), 2u);
     // The first dispatch lands on the doomed worker; the redispatch
     // must succeed on the restarted one and stay bit-identical.
-    EXPECT_EQ(run.outcomes[0].dispatchAttempts, 2);
-    for (const serve::FleetOutcome &f : run.outcomes) {
-        EXPECT_TRUE(f.outcome.status.ok()) << f.outcome.failureReason;
-        EXPECT_NE(f.outcome.resultDigest, 0u);
+    EXPECT_EQ(run.outcomes[0].attempts, 2);
+    for (const serve::ServeOutcome &o : run.outcomes) {
+        EXPECT_TRUE(o.status.ok()) << o.failureReason;
+        EXPECT_NE(o.resultDigest, 0u);
     }
     EXPECT_EQ(run.quarantined, 0);
 }
@@ -599,19 +628,17 @@ TEST(Fleet, HangingWorkerTripsTheHeartbeatTimeout)
     if (exe.empty())
         GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
     const std::string dir = freshDir("fleet_hang");
-    serve::FleetOptions opt;
-    opt.workers = 1;
-    opt.workerExe = exe;
-    opt.cacheDir = dir + "/cache";
+    DiskCache disk(dir + "/cache");
+    serve::ServeOptions opt = fleetOptions(1, exe, &disk);
     opt.heartbeatTimeoutSeconds = 0.25;
     opt.chaos.hang(0, 0, 3600.0); // silent forever without the kill
     const std::int64_t timeoutsBefore =
         counterValue("tapacs.fleet.heartbeat_timeouts");
     const FleetRun run = runFleet(opt, {kStencil});
     ASSERT_EQ(run.outcomes.size(), 1u);
-    EXPECT_TRUE(run.outcomes[0].outcome.status.ok())
-        << run.outcomes[0].outcome.failureReason;
-    EXPECT_GE(run.outcomes[0].dispatchAttempts, 2);
+    EXPECT_TRUE(run.outcomes[0].status.ok())
+        << run.outcomes[0].failureReason;
+    EXPECT_GE(run.outcomes[0].attempts, 2);
     EXPECT_GE(counterValue("tapacs.fleet.heartbeat_timeouts"),
               timeoutsBefore + 1);
 }
@@ -622,35 +649,31 @@ TEST(Fleet, StalledWorkerStaysAliveViaHeartbeats)
     if (exe.empty())
         GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
     const std::string dir = freshDir("fleet_stall");
-    serve::FleetOptions opt;
-    opt.workers = 1;
-    opt.workerExe = exe;
-    opt.cacheDir = dir + "/cache";
+    DiskCache disk(dir + "/cache");
+    serve::ServeOptions opt = fleetOptions(1, exe, &disk);
     opt.heartbeatTimeoutSeconds = 0.25;
     // Stalls longer than the heartbeat timeout but keeps beating: the
-    // supervisor must wait, not kill.
+    // slot must wait, not kill.
     opt.chaos.stall(0, 0, 0.6);
     const FleetRun run = runFleet(opt, {kStencil});
     ASSERT_EQ(run.outcomes.size(), 1u);
-    EXPECT_TRUE(run.outcomes[0].outcome.status.ok());
-    EXPECT_EQ(run.outcomes[0].dispatchAttempts, 1);
+    EXPECT_TRUE(run.outcomes[0].status.ok());
+    EXPECT_EQ(run.outcomes[0].attempts, 1);
 }
 
 TEST(Fleet, MissingWorkerBinaryEndsInQuarantineWithTypedOutcomes)
 {
     const std::string dir = freshDir("fleet_quarantine");
-    serve::FleetOptions opt;
-    opt.workers = 2;
-    opt.workerExe = dir + "/does-not-exist";
+    serve::ServeOptions opt =
+        fleetOptions(2, dir + "/does-not-exist", nullptr);
     opt.restartLimit = 1;
-    opt.restartBackoff.backoffBase = 1.0e-4;
-    opt.restartBackoff.backoffCap = 1.0e-3;
+    opt.backoff.backoffBase = 1.0e-4;
+    opt.backoff.backoffCap = 1.0e-3;
     const FleetRun run = runFleet(opt, {kStencil, kPagerank});
     ASSERT_EQ(run.outcomes.size(), 2u);
-    for (const serve::FleetOutcome &f : run.outcomes)
-        EXPECT_EQ(f.outcome.status.code(),
-                  StatusCode::ResourceExhausted)
-            << f.outcome.status.message();
+    for (const serve::ServeOutcome &o : run.outcomes)
+        EXPECT_EQ(o.status.code(), StatusCode::ResourceExhausted)
+            << o.status.message();
     EXPECT_EQ(run.quarantined, 2);
 }
 
@@ -661,39 +684,64 @@ TEST(Fleet, SerialAndFourWorkerFleetsAreBitIdentical)
         GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
     const std::vector<std::string> lines = {kStencil, kPagerank, kKnn};
 
-    const std::string serialDir = freshDir("fleet_identity_serial");
-    serve::FleetOptions serial;
-    serial.workers = 1;
-    serial.workerExe = exe;
-    serial.cacheDir = serialDir + "/cache";
-    const FleetRun one = runFleet(serial, lines);
+    DiskCache serialDisk(freshDir("fleet_identity_serial") + "/cache");
+    const FleetRun one =
+        runFleet(fleetOptions(1, exe, &serialDisk), lines);
 
-    const std::string wideDir = freshDir("fleet_identity_wide");
-    serve::FleetOptions wide;
-    wide.workers = 4;
-    wide.workerExe = exe;
-    wide.cacheDir = wideDir + "/cache";
-    const FleetRun four = runFleet(wide, lines);
+    DiskCache wideDisk(freshDir("fleet_identity_wide") + "/cache");
+    const FleetRun four = runFleet(fleetOptions(4, exe, &wideDisk), lines);
 
     ASSERT_EQ(one.outcomes.size(), lines.size());
     ASSERT_EQ(four.outcomes.size(), lines.size());
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        EXPECT_TRUE(one.outcomes[i].outcome.status.ok());
-        EXPECT_TRUE(four.outcomes[i].outcome.status.ok());
-        EXPECT_EQ(one.outcomes[i].outcome.resultDigest,
-                  four.outcomes[i].outcome.resultDigest)
+        EXPECT_TRUE(one.outcomes[i].status.ok());
+        EXPECT_TRUE(four.outcomes[i].status.ok());
+        EXPECT_EQ(one.outcomes[i].resultDigest,
+                  four.outcomes[i].resultDigest)
             << lines[i];
     }
 }
 
-TEST(Fleet, JournalReplayAfterSupervisorCrash)
+TEST(Fleet, InThreadAndWorkerProcessSlotsAgree)
+{
+    const std::string exe = workerExe();
+    if (exe.empty())
+        GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
+    const std::vector<std::string> lines = {kStencil, kPagerank, kKnn,
+                                            kExplore};
+
+    // The same manifest, cold, once on in-thread slots and once on
+    // two worker processes: one scheduler, two executors, one answer.
+    DiskCache threadDisk(freshDir("fleet_tiers_thread") + "/cache");
+    const FleetRun inThread =
+        runFleet(fleetOptions(2, "", &threadDisk), lines);
+
+    DiskCache processDisk(freshDir("fleet_tiers_process") + "/cache");
+    const FleetRun processes =
+        runFleet(fleetOptions(2, exe, &processDisk), lines);
+
+    ASSERT_EQ(inThread.outcomes.size(), lines.size());
+    ASSERT_EQ(processes.outcomes.size(), lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const serve::ServeOutcome &t = inThread.outcomes[i];
+        const serve::ServeOutcome &p = processes.outcomes[i];
+        EXPECT_TRUE(t.status.ok()) << t.failureReason;
+        EXPECT_EQ(t.status.code(), p.status.code()) << lines[i];
+        EXPECT_NE(t.resultDigest, 0u) << lines[i];
+        EXPECT_EQ(t.resultDigest, p.resultDigest) << lines[i];
+    }
+}
+
+TEST(Fleet, JournalReplayAfterServerCrash)
 {
     const std::string exe = workerExe();
     if (exe.empty())
         GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
     const std::string dir = freshDir("fleet_replay");
     const std::string journalPath = dir + "/journal.bin";
-    const std::string cacheDir = dir + "/cache";
+    DiskCache disk(dir + "/cache");
+    serve::ServeOptions opt = fleetOptions(1, exe, &disk);
+    opt.journalPath = journalPath;
 
     // Run 1 completes one request, then "crashes": we simulate the
     // crash by writing the second begin record the way submit() would
@@ -702,21 +750,16 @@ TEST(Fleet, JournalReplayAfterSupervisorCrash)
     std::uint64_t lostId = 0;
     std::uint64_t doneDigest = 0;
     {
-        serve::FleetOptions opt;
-        opt.workers = 1;
-        opt.workerExe = exe;
-        opt.cacheDir = cacheDir;
-        opt.journalPath = journalPath;
-        serve::Supervisor supervisor(opt);
-        ASSERT_TRUE(supervisor.start().ok());
-        ASSERT_TRUE(supervisor.submit(parseOneRequest(kStencil)).ok());
-        supervisor.drain();
-        const std::vector<serve::FleetOutcome> outcomes =
-            supervisor.finish();
+        serve::CompileService service(opt);
+        ASSERT_TRUE(service.startStatus().ok());
+        ASSERT_TRUE(service.submit(parseOneRequest(kStencil)).ok());
+        service.drain();
+        const std::vector<serve::ServeOutcome> outcomes =
+            service.finish();
         ASSERT_EQ(outcomes.size(), 1u);
-        ASSERT_TRUE(outcomes[0].outcome.status.ok());
+        ASSERT_TRUE(outcomes[0].status.ok());
         doneId = outcomes[0].id;
-        doneDigest = outcomes[0].outcome.resultDigest;
+        doneDigest = outcomes[0].resultDigest;
     }
     {
         // finish() compacted the journal to empty; recreate the crash
@@ -744,25 +787,18 @@ TEST(Fleet, JournalReplayAfterSupervisorCrash)
 
     // Run 2: the replay must resolve the completed id from its stored
     // outcome (no re-execution) and re-run the lost one.
-    serve::FleetOptions opt;
-    opt.workers = 1;
-    opt.workerExe = exe;
-    opt.cacheDir = cacheDir;
-    opt.journalPath = journalPath;
-    serve::Supervisor supervisor(opt);
-    ASSERT_TRUE(supervisor.start().ok());
-    supervisor.drain();
-    const std::vector<serve::FleetOutcome> outcomes =
-        supervisor.finish();
+    serve::CompileService service(opt);
+    ASSERT_TRUE(service.startStatus().ok());
+    service.drain();
+    const std::vector<serve::ServeOutcome> outcomes = service.finish();
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_EQ(outcomes[0].id, doneId);
     EXPECT_TRUE(outcomes[0].replayed);
-    EXPECT_EQ(outcomes[0].outcome.resultDigest, doneDigest);
+    EXPECT_EQ(outcomes[0].resultDigest, doneDigest);
     EXPECT_EQ(outcomes[1].id, lostId);
     EXPECT_FALSE(outcomes[1].replayed);
-    EXPECT_TRUE(outcomes[1].outcome.status.ok())
-        << outcomes[1].outcome.failureReason;
-    EXPECT_NE(outcomes[1].outcome.resultDigest, 0u);
+    EXPECT_TRUE(outcomes[1].status.ok()) << outcomes[1].failureReason;
+    EXPECT_NE(outcomes[1].resultDigest, 0u);
 
     // Everything resolved: the journal must compact to empty.
     EXPECT_EQ(serve::RequestJournal::scan(journalPath).records.size(),
@@ -793,21 +829,18 @@ TEST(Fleet, CorruptJournalRecordIsSkippedOnReplay)
         ASSERT_TRUE(serve::flipBit(journalPath, 30 * 8));
     }
     const std::int64_t skippedBefore =
-        counterValue("tapacs.fleet.journal_corrupt_skipped");
-    serve::FleetOptions opt;
-    opt.workers = 1;
-    opt.workerExe = exe;
-    opt.cacheDir = dir + "/cache";
+        counterValue("tapacs.serve.journal_corrupt_skipped");
+    DiskCache disk(dir + "/cache");
+    serve::ServeOptions opt = fleetOptions(1, exe, &disk);
     opt.journalPath = journalPath;
-    serve::Supervisor supervisor(opt);
-    ASSERT_TRUE(supervisor.start().ok());
-    supervisor.drain();
-    const std::vector<serve::FleetOutcome> outcomes =
-        supervisor.finish();
+    serve::CompileService service(opt);
+    ASSERT_TRUE(service.startStatus().ok());
+    service.drain();
+    const std::vector<serve::ServeOutcome> outcomes = service.finish();
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].id, 2u);
-    EXPECT_TRUE(outcomes[0].outcome.status.ok());
-    EXPECT_GE(counterValue("tapacs.fleet.journal_corrupt_skipped"),
+    EXPECT_TRUE(outcomes[0].status.ok());
+    EXPECT_GE(counterValue("tapacs.serve.journal_corrupt_skipped"),
               skippedBefore + 1);
 }
 
@@ -817,60 +850,49 @@ TEST(Fleet, GracefulDrainDefersQueuedRequestsToTheJournal)
     if (exe.empty())
         GTEST_SKIP() << "TAPACS_WORKER_EXE not set";
     const std::string dir = freshDir("fleet_drain");
-    const std::string journalPath = dir + "/journal.bin";
+    DiskCache disk(dir + "/cache");
+    serve::ServeOptions opt = fleetOptions(1, exe, &disk);
+    opt.journalPath = dir + "/journal.bin";
     std::size_t deferred = 0;
     {
-        serve::FleetOptions opt;
-        opt.workers = 1;
-        opt.workerExe = exe;
-        opt.cacheDir = dir + "/cache";
-        opt.journalPath = journalPath;
-        serve::Supervisor supervisor(opt);
-        ASSERT_TRUE(supervisor.start().ok());
+        serve::CompileService service(opt);
+        ASSERT_TRUE(service.startStatus().ok());
         // Queue more work than one worker can have in flight, then
         // drain immediately: whatever had not been dispatched resolves
         // typed-deferred.
         for (int i = 0; i < 6; ++i)
-            ASSERT_TRUE(
-                supervisor.submit(parseOneRequest(kStencil)).ok());
-        supervisor.requestDrain();
+            ASSERT_TRUE(service.submit(parseOneRequest(kStencil)).ok());
+        service.requestDrain();
         // Submissions after the drain request are typed-deferred too.
-        ASSERT_TRUE(supervisor.submit(parseOneRequest(kKnn)).ok());
-        supervisor.drain();
-        const std::vector<serve::FleetOutcome> outcomes =
-            supervisor.finish();
+        ASSERT_TRUE(service.submit(parseOneRequest(kKnn)).ok());
+        service.drain();
+        const std::vector<serve::ServeOutcome> outcomes =
+            service.finish();
         ASSERT_EQ(outcomes.size(), 7u);
-        for (const serve::FleetOutcome &f : outcomes) {
-            if (f.outcome.status.ok())
+        for (const serve::ServeOutcome &o : outcomes) {
+            if (o.status.ok())
                 continue;
-            EXPECT_EQ(f.outcome.status.code(),
-                      StatusCode::ResourceExhausted);
+            EXPECT_EQ(o.status.code(), StatusCode::ResourceExhausted);
             ++deferred;
         }
-        EXPECT_EQ(outcomes[6].outcome.status.code(),
+        EXPECT_EQ(outcomes[6].status.code(),
                   StatusCode::ResourceExhausted);
     }
     ASSERT_GE(deferred, 1u);
     // The deferred requests kept their begin records: a restarted
-    // supervisor replays exactly them.
-    EXPECT_EQ(serve::RequestJournal::scan(journalPath).records.size(),
+    // server replays exactly them.
+    EXPECT_EQ(serve::RequestJournal::scan(opt.journalPath).records.size(),
               deferred);
 
-    serve::FleetOptions opt;
-    opt.workers = 2;
-    opt.workerExe = exe;
-    opt.cacheDir = dir + "/cache";
-    opt.journalPath = journalPath;
-    serve::Supervisor supervisor(opt);
-    ASSERT_TRUE(supervisor.start().ok());
-    supervisor.drain();
-    const std::vector<serve::FleetOutcome> outcomes =
-        supervisor.finish();
+    opt.threads = 2;
+    serve::CompileService service(opt);
+    ASSERT_TRUE(service.startStatus().ok());
+    service.drain();
+    const std::vector<serve::ServeOutcome> outcomes = service.finish();
     ASSERT_EQ(outcomes.size(), deferred);
-    for (const serve::FleetOutcome &f : outcomes) {
-        EXPECT_TRUE(f.outcome.status.ok())
-            << f.outcome.failureReason;
-        EXPECT_NE(f.outcome.resultDigest, 0u);
+    for (const serve::ServeOutcome &o : outcomes) {
+        EXPECT_TRUE(o.status.ok()) << o.failureReason;
+        EXPECT_NE(o.resultDigest, 0u);
     }
 }
 

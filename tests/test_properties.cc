@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <random>
 
+#include "cache/compile_cache.hh"
+#include "cache/store.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "compile_identity.hh"
@@ -24,7 +26,7 @@
 #include "serve/chaos.hh"
 #include "serve/journal.hh"
 #include "serve/manifest.hh"
-#include "serve/supervisor.hh"
+#include "serve/service.hh"
 #include "sim/dataflow_sim.hh"
 
 namespace tapacs
@@ -510,39 +512,46 @@ class FleetChaosProperty : public ::testing::TestWithParam<int>
         return manifest.requests;
     }
 
-    static serve::FleetOptions
+    static serve::ServeOptions
     baseOptions(const std::string &caseDir)
     {
-        serve::FleetOptions opt;
-        opt.workers = 2;
-        opt.workerExe = workerExe();
         // One disk cache across all 200 cases: retried dispatches and
         // later seeds reuse published artifacts, exactly like a
         // long-lived fleet.
-        opt.cacheDir = testing::TempDir() + "/fleet_chaos_cache";
+        static cache::CacheStore store([] {
+            cache::CacheStore::Options storeOpt;
+            storeOpt.directory =
+                testing::TempDir() + "/fleet_chaos_cache";
+            return storeOpt;
+        }());
+        static cache::CompileCache sharedCache(store);
+        serve::ServeOptions opt;
+        opt.threads = 2;
+        opt.workerExe = workerExe();
+        opt.cache = &sharedCache;
         opt.journalPath = caseDir + "/journal.bin";
         opt.heartbeatTimeoutSeconds = 0.25;
+        opt.maxRetries = 2;
         return opt;
     }
 
     static std::vector<std::uint64_t>
-    runCase(serve::FleetOptions opt)
+    runCase(const serve::ServeOptions &opt)
     {
-        serve::Supervisor supervisor(std::move(opt));
-        EXPECT_TRUE(supervisor.start().ok());
+        serve::CompileService service(opt);
+        EXPECT_TRUE(service.startStatus().ok());
         for (const serve::Request &req : requests())
-            EXPECT_TRUE(supervisor.submit(req).ok());
-        supervisor.drain();
-        const std::vector<serve::FleetOutcome> outcomes =
-            supervisor.finish();
+            EXPECT_TRUE(service.submit(req).ok());
+        service.drain();
+        const std::vector<serve::ServeOutcome> outcomes =
+            service.finish();
         EXPECT_EQ(outcomes.size(), 3u);
         std::vector<std::uint64_t> digests;
         std::set<std::uint64_t> ids;
-        for (const serve::FleetOutcome &f : outcomes) {
-            ids.insert(f.id);
-            EXPECT_TRUE(f.outcome.status.ok())
-                << f.outcome.failureReason;
-            digests.push_back(f.outcome.resultDigest);
+        for (const serve::ServeOutcome &o : outcomes) {
+            ids.insert(o.id);
+            EXPECT_TRUE(o.status.ok()) << o.failureReason;
+            digests.push_back(o.resultDigest);
         }
         // Exactly once: every admission has exactly one outcome.
         EXPECT_EQ(ids.size(), outcomes.size());
@@ -574,9 +583,9 @@ TEST_P(FleetChaosProperty, EveryRequestResolvesOnceBitIdentically)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
 
-    serve::FleetOptions opt = baseOptions(dir);
-    opt.chaos = serve::randomPlan(9000 + seed, opt.workers, 3);
-    const std::vector<std::uint64_t> digests = runCase(std::move(opt));
+    serve::ServeOptions opt = baseOptions(dir);
+    opt.chaos = serve::randomPlan(9000 + seed, opt.threads, 3);
+    const std::vector<std::uint64_t> digests = runCase(opt);
 
     ASSERT_EQ(baseline().size(), digests.size());
     for (std::size_t i = 0; i < digests.size(); ++i)

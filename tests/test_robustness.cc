@@ -726,8 +726,8 @@ TEST(CompileService, RetriesAreBoundedAndCounted)
     serve::ServeOptions sopt;
     sopt.threads = 1;
     sopt.maxRetries = 2;
-    sopt.retryPolicy.backoffBase = 1.0e-4;
-    sopt.retryPolicy.backoffCap = 1.0e-3;
+    sopt.backoff.backoffBase = 1.0e-4;
+    sopt.backoff.backoffCap = 1.0e-3;
     serve::CompileService service(sopt);
     // InvalidInput is not retryable: exactly one attempt.
     serve::Request bad;

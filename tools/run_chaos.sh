@@ -2,12 +2,12 @@
 # Build and run the crash-tolerance suites: everything carrying the
 # 'fleet' ctest label (wire/journal/cache-CRC units plus the
 # multi-process chaos scenarios and the 200-case seeded kill/replay
-# property), then drive the tapacs-serve binary end-to-end through a
-# seeded chaos matrix — worker kills, supervisor restart with journal
-# replay, and offline cache/journal corruption — asserting the fleet's
-# contract from the outside: every request resolves exactly once with
-# a typed outcome, and a corrupted cache degrades to misses, never a
-# crash.
+# property), then drive tapacs-serve on worker-process slots
+# end-to-end through a seeded chaos matrix — worker kills, server
+# restart with journal replay, and offline cache/journal corruption —
+# asserting the serving contract from the outside: every request
+# resolves exactly once with a typed outcome, and a corrupted cache
+# degrades to misses, never a crash.
 #
 # Usage: tools/run_chaos.sh [build-dir]
 set -euo pipefail
@@ -34,11 +34,12 @@ request chaos-d workload=stencil fpgas=3 mode=tapacs topology=ring
 EOF
 
 # Seeded chaos matrix: each seed arms a different kill/hang/stall
-# plan. --strict means "exit 1 unless every request's typed outcome
-# is a success" — the exactly-once resolution gate.
+# plan; --retries 2 lets a request outlive the faulted first process
+# of its slot. --strict means "exit 1 unless every request's typed
+# outcome is a success" — the exactly-once resolution gate.
 for seed in 1 7 42; do
     echo "== chaos seed ${seed} =="
-    "${serve}" "${manifest}" --workers 3 \
+    "${serve}" "${manifest}" --workers 3 --retries 2 \
         --cache-dir "${work}/cache" --journal "${work}/journal.bin" \
         --chaos-seed "${seed}" --strict
 done
@@ -50,7 +51,10 @@ done
 # Offline corruption: flip a bit in one cache entry, then prove the
 # scrubber removes exactly that entry and a subsequent serve run
 # treats it as a miss (still --strict clean).
-victim="$(ls "${work}/cache"/*.tce | head -n1)"
+# (A glob, not `ls | head`: under pipefail, ls dying of SIGPIPE once
+# head has its line would abort the script.)
+entries=("${work}/cache"/*.tce)
+victim="${entries[0]}"
 "${cache_tool}" --flip "${victim}" 12345
 "${cache_tool}" --scrub "${work}/cache"
 "${serve}" "${manifest}" --workers 2 \
